@@ -237,7 +237,7 @@ func (cn *CompiledNetwork) Options() Options { return cn.opts }
 // SizeBytes estimates the resident size of the compiled artifact:
 // weights, biases and the bound analysis, plus a flat overhead for the
 // encoding skeleton. It is a deterministic accounting figure for cache
-// byte budgets (vnnd.cache.bytes), not a malloc census.
+// byte budgets (cache.bytes in vnnd /metrics), not a malloc census.
 func (cn *CompiledNetwork) SizeBytes() int64 {
 	const fixedOverhead = 1 << 10
 	var n int64 = fixedOverhead

@@ -16,7 +16,6 @@ import (
 	"net/http"
 	"time"
 
-	"repro/internal/obs"
 	"repro/pkg/vnn"
 )
 
@@ -146,7 +145,7 @@ func capAnalysisWork(spec *vnn.AnalysisSpec) error {
 
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
-		writeError(w, http.StatusServiceUnavailable, "server is draining")
+		writeError(w, http.StatusServiceUnavailable, errDraining.Error())
 		return
 	}
 	var req AnalyzeRequest
@@ -159,170 +158,104 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	// Same admission discipline as /v1/verify: the token is taken at
-	// submit time under drainMu, so overload is immediate backpressure
-	// and a request is never admitted after Drain stopped waiting.
-	async := req.Wait != nil && !*req.Wait
-	s.drainMu.Lock()
-	if s.draining.Load() {
-		s.drainMu.Unlock()
-		writeError(w, http.StatusServiceUnavailable, "server is draining")
-		return
-	}
-	if err := s.sched.Admit(); err != nil {
-		s.drainMu.Unlock()
+	jr, err := s.admitJob(q.fingerprint, req.Wait != nil && !*req.Wait)
+	if err != nil {
 		writeError(w, statusFor(err), err.Error())
 		return
 	}
-	if async {
-		s.wg.Add(1)
-	}
-	s.drainMu.Unlock()
-	jb := s.jobs.create(q.fingerprint)
 	// Trace id = job id, same as /v1/verify (see handleVerify).
-	tr := s.startTrace(r, "/v1/analyze", jb.id)
-	tr.Root().SetAttr("fingerprint", q.fingerprint)
-	tr.Root().SetAttr("analyses", len(q.analyses))
-	tn := s.tenantFor(r)
-
-	if !async {
-		resp, err := s.runAnalyze(r.Context(), jb, tr, tn, q, &req)
-		if err != nil {
-			writeError(w, statusFor(err), err.Error())
-			return
-		}
-		writeJSON(w, http.StatusOK, resp)
-		return
-	}
-	go func() {
-		defer s.wg.Done()
-		s.runAnalyze(s.queryCtx, jb, tr, tn, q, &req)
-	}()
-	writeJSON(w, http.StatusAccepted, AcceptedResponse{
-		ID: jb.id, Fingerprint: q.fingerprint, Status: "running",
-	})
-}
-
-// runAnalyze executes one prepared portfolio batch under admission
-// control. The base compile — and every quantized recompile a QuantSweep
-// performs — goes through the fingerprint-keyed cache under the server's
-// lifetime context: compiles are shared work that only drain interrupts,
-// never one impatient client.
-func (s *Server) runAnalyze(parent context.Context, jb *job, tr *obs.Trace, tn *obs.TenantStats, q *preparedAnalysis, req *AnalyzeRequest) (*AnalyzeResponse, error) {
-	start := time.Now()
-	defer tr.Finish()
-	defer observeSince(s.obs.analyzeLatency, start)
-	defer func() { tn.Route("/v1/analyze").Count(time.Since(start)) }()
-	timeout := time.Duration(req.TimeoutMS) * time.Millisecond
-	if timeout <= 0 {
-		timeout = s.cfg.DefaultTimeout
-	}
-	var qctx context.Context
-	var cancel context.CancelFunc
-	if timeout > 0 {
-		qctx, cancel = context.WithTimeout(parent, timeout)
-	} else {
-		qctx, cancel = context.WithCancel(parent)
-	}
-	defer cancel()
-	stop := context.AfterFunc(s.queryCtx, cancel) // drain interrupts the batch
-	defer stop()
-
-	root := tr.Root()
-	queueSpan := root.Child("queue")
-	var resp *AnalyzeResponse
-	err := s.sched.RunAdmitted(qctx, tn, func(ctx context.Context, fairWorkers int) error {
-		queueSpan.End()
-		root.SetAttr("workers", fairWorkers)
-		opts := q.compileOpts
-		if opts.Workers == 0 {
-			opts.Workers = fairWorkers
-		}
-		cacheSpan := root.Child("cache")
-		cn, hit, err := s.cache.GetOrCompile(ctx, q.fingerprint, func() (*vnn.CompiledNetwork, error) {
-			return s.compileTraced(cacheSpan, q.net, q.region, opts)
-		})
-		cacheSpan.SetAttr("hit", hit)
-		cacheSpan.End()
-		if err != nil {
-			return err
-		}
-		qopts := opts
-		qopts.Parallel = req.Options.Parallel
-		qopts.MaxNodes = req.Options.MaxNodes
-		// The solve span covers the whole portfolio; each analysis that
-		// streams solver progress contributes per-property children with
-		// their analysis index attributed (see vnn.ProgressSpans).
-		solveSpan := root.Child("solve")
-		ps := vnn.NewProgressSpans(solveSpan)
-		qopts.Progress = func(ev vnn.Event) {
-			jb.publish(ev)
-			ps.Observe(ev)
-		}
-		for _, a := range q.analyses {
-			if qs, ok := a.(*vnn.QuantSweep); ok {
-				qs.Compile = s.cachedCompile
+	jr.tr = s.startTrace(r, "/v1/analyze", jr.id)
+	jr.tr.Root().SetAttr("fingerprint", q.fingerprint)
+	jr.tr.Root().SetAttr("analyses", len(q.analyses))
+	jr.tn, jr.route, jr.latency = s.tenantFor(r), "/v1/analyze", s.obs.analyzeLatency
+	jr.timeout = time.Duration(req.TimeoutMS) * time.Millisecond
+	jr.counted = func(err error) {
+		s.analyzes.Add(1)
+		if err == nil {
+			// Per-kind accounting happens once per completed batch so the
+			// counters mean "analyses served", not "analyses attempted".
+			for _, kind := range q.kinds {
+				s.countAnalysis(kind)
 			}
 		}
-		findings, err := vnn.Analyze(ctx, cn.WithOptions(qopts), q.analyses...)
-		ps.Close()
-		if err != nil {
-			solveSpan.End()
-			return err
+	}
+	s.serveJob(w, r, jr, AcceptedResponse{ID: jr.id, Fingerprint: q.fingerprint, Status: "running"}, statusFor,
+		func(ctx context.Context, fairWorkers int) (any, error) {
+			return s.runAnalyze(ctx, jr, q, &req, fairWorkers)
+		})
+}
+
+// runAnalyze is the analyze job's body. The base compile — and every
+// quantized recompile a QuantSweep performs — goes through the shared
+// compile cache (see compile).
+func (s *Server) runAnalyze(ctx context.Context, jr *jobRun, q *preparedAnalysis, req *AnalyzeRequest, fairWorkers int) (*AnalyzeResponse, error) {
+	root := jr.tr.Root()
+	opts := q.compileOpts
+	if opts.Workers == 0 {
+		opts.Workers = fairWorkers
+	}
+	cn, hit, err := s.compile(ctx, root, q.fingerprint, q.net, q.region, opts)
+	if err != nil {
+		return nil, err
+	}
+	qopts := opts
+	qopts.Parallel = req.Options.Parallel
+	qopts.MaxNodes = req.Options.MaxNodes
+	// The solve span covers the whole portfolio; each analysis that
+	// streams solver progress contributes per-property children with
+	// their analysis index attributed (see vnn.ProgressSpans).
+	solveSpan := root.Child("solve")
+	ps := vnn.NewProgressSpans(solveSpan)
+	qopts.Progress = func(ev vnn.Event) {
+		jr.publish(ev)
+		ps.Observe(ev)
+	}
+	for _, a := range q.analyses {
+		if qs, ok := a.(*vnn.QuantSweep); ok {
+			qs.Compile = s.cachedCompile
 		}
-		var nodes, pivots int64
-		for _, f := range findings {
-			for _, res := range f.Verification {
+	}
+	findings, err := vnn.Analyze(ctx, cn.WithOptions(qopts), q.analyses...)
+	ps.Close()
+	if err != nil {
+		solveSpan.End()
+		return nil, err
+	}
+	var nodes, pivots int64
+	for _, f := range findings {
+		for _, res := range f.Verification {
+			nodes += int64(res.Stats.Nodes)
+			pivots += int64(res.Stats.LPPivots)
+		}
+		if f.QuantSweep != nil {
+			for _, res := range f.QuantSweep.Base {
 				nodes += int64(res.Stats.Nodes)
 				pivots += int64(res.Stats.LPPivots)
 			}
-			if f.QuantSweep != nil {
-				for _, res := range f.QuantSweep.Base {
+			for _, pt := range f.QuantSweep.Points {
+				for _, res := range pt.Results {
 					nodes += int64(res.Stats.Nodes)
 					pivots += int64(res.Stats.LPPivots)
 				}
-				for _, pt := range f.QuantSweep.Points {
-					for _, res := range pt.Results {
-						nodes += int64(res.Stats.Nodes)
-						pivots += int64(res.Stats.LPPivots)
-					}
-				}
 			}
 		}
-		s.nodes.Add(nodes)
-		s.pivots.Add(pivots)
-		xNodes.Add(nodes)
-		xLPPivots.Add(pivots)
-		resp = &AnalyzeResponse{
-			ID:          jb.id,
-			Fingerprint: q.fingerprint,
-			CacheHit:    hit,
-			CompileMS:   float64(cn.CompileTime().Microseconds()) / 1e3,
-			Report:      vnn.NewAnalysisReport(q.net, findings),
-		}
-		return nil
-	})
-	s.analyzes.Add(1)
-	xAnalyzes.Add(1)
-	if err == nil {
-		// Per-kind accounting happens once per completed batch so the
-		// counters mean "analyses served", not "analyses attempted".
-		for _, kind := range q.kinds {
-			s.countAnalysis(kind)
-		}
 	}
-	jb.finish(resp, err)
-	return resp, err
+	s.nodes.Add(nodes)
+	s.pivots.Add(pivots)
+	return &AnalyzeResponse{
+		ID:          jr.id,
+		Fingerprint: q.fingerprint,
+		CacheHit:    hit,
+		CompileMS:   float64(cn.CompileTime().Microseconds()) / 1e3,
+		Report:      vnn.NewAnalysisReport(q.net, findings),
+	}, nil
 }
 
 // cachedCompile is the CompileFunc the server injects into quantization
-// sweeps: share one compile per distinct quantized model through the
-// LRU/singleflight cache, keyed on the fingerprint the sweep already
-// computed for its finding.
+// sweeps: one compile per distinct quantized model through the shared
+// cache, keyed on the fingerprint the sweep already computed for its
+// finding.
 func (s *Server) cachedCompile(ctx context.Context, fp string, net *vnn.Network, region *vnn.Region, opts vnn.Options) (*vnn.CompiledNetwork, error) {
-	copts := vnn.Options{Tighten: opts.Tighten, Workers: opts.Workers}
-	cn, _, err := s.cache.GetOrCompile(ctx, fp, func() (*vnn.CompiledNetwork, error) {
-		return vnn.Compile(s.queryCtx, net, region, copts)
-	})
+	cn, _, err := s.compile(ctx, nil, fp, net, region, vnn.Options{Tighten: opts.Tighten, Workers: opts.Workers})
 	return cn, err
 }

@@ -175,6 +175,41 @@ func TestAnalyzeQuantSweep16ConcurrentOneCompilePerWidth(t *testing.T) {
 	}
 }
 
+// TestAnalyzeQuantSweepObservesEveryCompile pins that every cache-miss
+// compile — the sweep's per-width recompiles included — lands in
+// vnnd_compile_seconds exactly once: on a cold server the histogram's
+// count moves by exactly the cache-miss delta.
+func TestAnalyzeQuantSweepObservesEveryCompile(t *testing.T) {
+	net, region := smallNet(t)
+	srv, ts := newTestServer(t, vnnserver.Config{})
+	compiles := func(m vnnserver.Metrics) int64 {
+		for _, h := range m.Histograms {
+			if h.Name == "vnnd_compile_seconds" {
+				return h.Count
+			}
+		}
+		t.Fatal("no vnnd_compile_seconds histogram in /metrics")
+		return 0
+	}
+	before := srv.Metrics()
+	body := analyzeBody(t, net, region, []vnn.AnalysisSpec{{
+		Kind:       vnn.KindQuantSweep,
+		Bits:       []int{8, 6, 4},
+		Properties: []vnn.PropertySpec{{Kind: "max", Outputs: []int{0}}},
+	}}, vnnserver.QueryOptions{Workers: 1}, nil)
+	if status := postAnalyze(t, ts.URL, body, nil); status != http.StatusOK {
+		t.Fatalf("analyze: status %d", status)
+	}
+	after := srv.Metrics()
+	misses := after.Cache.Misses - before.Cache.Misses
+	if misses != 4 {
+		t.Fatalf("%d cache misses, want 4 (base + one per width)", misses)
+	}
+	if d := compiles(after) - compiles(before); d != misses {
+		t.Fatalf("vnnd_compile_seconds count moved by %d, cache misses by %d", d, misses)
+	}
+}
+
 // TestAnalyzePortfolioRoundTrip drives a whole portfolio batch — data
 // validation, coverage, traceability, verification, falsification —
 // through HTTP and checks each finding plus the per-kind counters.

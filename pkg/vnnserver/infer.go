@@ -233,7 +233,7 @@ func (s *Server) prepareInfer(req *InferRequest) (*preparedInfer, error) {
 		q.fingerprint = fp
 		// Remember the workload so follow-up requests may send just the
 		// fingerprint.
-		s.workloads.put(fp, &inferWorkload{net: net, region: region, compileOpts: q.compileOpts})
+		s.rememberWorkload(fp, &inferWorkload{net: net, region: region, compileOpts: q.compileOpts})
 	case req.Fingerprint != "":
 		wl, ok := s.workloads.get(req.Fingerprint)
 		if !ok {
@@ -400,7 +400,7 @@ func (s *Server) runInfer(ctx context.Context, sp *obs.Span, net *vnn.Network, m
 
 func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
-		writeError(w, http.StatusServiceUnavailable, "server is draining")
+		writeError(w, http.StatusServiceUnavailable, errDraining.Error())
 		return
 	}
 	var req InferRequest
@@ -438,20 +438,9 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	timeout := time.Duration(req.TimeoutMS) * time.Millisecond
-	if timeout <= 0 {
-		timeout = s.cfg.DefaultTimeout
-	}
-	var ctx context.Context
-	var cancel context.CancelFunc
-	if timeout > 0 {
-		ctx, cancel = context.WithTimeout(r.Context(), timeout)
-	} else {
-		ctx, cancel = context.WithCancel(r.Context())
-	}
+	ctx, cancel := s.deadlineContext(r.Context(), time.Duration(req.TimeoutMS)*time.Millisecond)
 	defer cancel()
-	stop := context.AfterFunc(s.queryCtx, cancel) // drain interrupts the batch
-	defer stop()
+	defer context.AfterFunc(s.queryCtx, cancel)() // drain interrupts the batch
 
 	start := time.Now()
 	tr := s.startTrace(r, "/v1/infer", "")
@@ -468,31 +457,18 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case req.Monitor != nil:
 		// The monitor's static cross-check needs the compiled bounds: the
-		// compile routes through the same fingerprint-keyed singleflight
-		// cache as /v1/verify, under the server's lifetime context (shared
-		// work only drain may interrupt). The built monitor is then cached
-		// under its own workload fingerprint and indexed by its content
-		// hash for by-fingerprint reuse.
-		cacheSpan := root.Child("cache")
-		cn, hit, err := s.cache.GetOrCompile(ctx, q.fingerprint, func() (*vnn.CompiledNetwork, error) {
-			return s.compileTraced(cacheSpan, q.net, q.region, q.compileOpts)
-		})
-		cacheSpan.SetAttr("hit", hit)
-		cacheSpan.End()
+		// compile routes through the same shared compile path as
+		// /v1/verify. The built monitor is then cached under its own
+		// workload fingerprint and indexed by its content hash for
+		// by-fingerprint reuse.
+		cn, hit, err := s.compile(ctx, root, q.fingerprint, q.net, q.region, q.compileOpts)
 		if err != nil {
 			writeError(w, statusFor(err), err.Error())
 			return
 		}
 		resp.CacheHit = hit
 		monSpan := root.Child("monitor")
-		buildStart := time.Now()
-		mon, hit, err = s.monitors.getOrBuild(ctx, q.monitorFP, func() (*vnn.Monitor, error) {
-			return vnn.BuildMonitor(cn, req.Monitor.Data, q.monitorOpts)
-		})
-		if !hit {
-			// Only actual builds feed the histogram; hits are cache waits.
-			observeSince(s.obs.monitorBuild, buildStart)
-		}
+		mon, hit, err = s.buildMonitor(ctx, q.monitorFP, cn, req.Monitor.Data, q.monitorOpts)
 		monSpan.SetAttr("hit", hit)
 		monSpan.End()
 		if err != nil {
@@ -578,9 +554,6 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	s.inferInputs.Add(int64(len(req.Inputs)))
 	s.inferFlagged.Add(int64(resp.Flagged))
 	s.inferRequests.Add(1)
-	xInferInputs.Add(int64(len(req.Inputs)))
-	xInferFlagged.Add(int64(resp.Flagged))
-	xInferRequests.Add(1)
 	s.obs.inferBatch.Observe(int64(len(req.Inputs)))
 	tn.CountInputs(len(req.Inputs), resp.Flagged)
 	tn.Route("/v1/infer").Count(time.Since(start))
@@ -591,180 +564,68 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 
 // inferWorkload is a remembered (network, region, compile options)
 // triple, keyed by its fingerprint so by-fingerprint requests skip the
-// network upload and parse.
+// network upload and parse. The workload cache is a plain lru: entries
+// are cheap (a parsed network) and only ever stored after a
+// full-network request or a compile succeeded, so nothing loads through
+// it.
 type inferWorkload struct {
 	net         *vnn.Network
 	region      *vnn.Region
 	compileOpts vnn.Options
 }
 
-// workloadCache is a small LRU of served infer workloads. Unlike the
-// compile cache there is no singleflight: entries are cheap (a parsed
-// network) and only ever stored after a full-network request succeeded.
-type workloadCache struct {
-	mu       sync.Mutex
-	capacity int
-	entries  map[string]*inferWorkload
-	order    []string // LRU order, most recent last
-}
-
-func newWorkloadCache(capacity int) *workloadCache {
-	if capacity <= 0 {
-		capacity = defaultCacheEntries
-	}
-	return &workloadCache{capacity: capacity, entries: make(map[string]*inferWorkload)}
-}
-
-func (c *workloadCache) get(key string) (*inferWorkload, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	wl, ok := c.entries[key]
-	if ok {
-		c.touchLocked(key)
-	}
-	return wl, ok
-}
-
-func (c *workloadCache) put(key string, wl *inferWorkload) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.entries[key]; ok {
-		c.touchLocked(key)
-		return // fingerprints are content hashes: same key, same workload
-	}
-	c.entries[key] = wl
-	c.order = append(c.order, key)
-	for len(c.entries) > c.capacity {
-		old := c.order[0]
-		c.order = c.order[1:]
-		delete(c.entries, old)
+// rememberWorkload stores a served workload for by-fingerprint requests.
+// Fingerprints are content hashes, so an existing entry already holds the
+// same workload; it is only touched.
+func (s *Server) rememberWorkload(fp string, wl *inferWorkload) {
+	if !s.workloads.Import(fp, wl) {
+		s.workloads.get(fp)
 	}
 }
 
-func (c *workloadCache) touchLocked(key string) {
-	for i, k := range c.order {
-		if k == key {
-			c.order = append(c.order[:i], c.order[i+1:]...)
-			break
-		}
-	}
-	c.order = append(c.order, key)
-}
-
-// Len returns the number of remembered workloads.
-func (c *workloadCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
-
-// monitorCache is the fingerprint-keyed LRU of built monitors with the
-// same singleflight semantics as the compile Cache: N concurrent
-// identical monitored-infer requests build exactly one monitor; failures
-// are not cached. Monitors are immutable and safe to share. Completed
-// entries are additionally indexed by the monitor's content hash, so
-// by-fingerprint requests (InferRequest.MonitorFingerprint) resolve
+// monitorCache is the lru of built monitors, keyed by monitor build
+// workload: N concurrent identical monitored-infer requests build exactly
+// one monitor; failures are not cached. Monitors are immutable and safe
+// to share. Resident monitors are additionally indexed by content hash,
+// so by-fingerprint requests (InferRequest.MonitorFingerprint) resolve
 // without re-sending the build dataset.
 type monitorCache struct {
-	mu       sync.Mutex
-	capacity int
-	entries  map[string]*monitorEntry
-	order    []string // LRU order, most recent last
-	// byContent maps a built monitor's content fingerprint to its entry.
+	*lru[string, *vnn.Monitor]
+	// byContent maps a resident monitor's content fingerprint to its
+	// cache key. It changes only in the lru's hooks, under its mutex.
 	// Content-identical monitors from distinct workloads share a hash;
-	// the index keeps the most recently built one, and dropping an entry
+	// the index keeps the most recently built one, and evicting an entry
 	// only clears the index if it still points at that entry.
-	byContent map[string]*monitorEntry
-}
-
-type monitorEntry struct {
-	key       string
-	ready     chan struct{} // closed once mon/err are set
-	mon       *vnn.Monitor
-	err       error
-	contentFP string // set with mon, under c.mu
-	// bytes (marshaled monitor size) and added feed the GET /v1/workloads
-	// index; bytes is written before ready closes, like cacheEntry.bytes.
-	bytes int64
-	added time.Time
+	byContent map[string]string
 }
 
 func newMonitorCache(capacity int) *monitorCache {
-	if capacity <= 0 {
-		capacity = defaultCacheEntries
-	}
-	return &monitorCache{
-		capacity:  capacity,
-		entries:   make(map[string]*monitorEntry),
-		byContent: make(map[string]*monitorEntry),
-	}
-}
-
-// getOrBuild returns the monitor cached under key, building it on a miss.
-// The bool reports a cache hit (true for waiters that joined an in-flight
-// build). ctx bounds only this caller's wait, exactly like the compile
-// cache.
-func (c *monitorCache) getOrBuild(ctx context.Context, key string, build func() (*vnn.Monitor, error)) (*vnn.Monitor, bool, error) {
-	c.mu.Lock()
-	if e, ok := c.entries[key]; ok {
-		c.touchLocked(key)
-		c.mu.Unlock()
-		xInferMonitorHits.Add(1)
-		select {
-		case <-e.ready:
-			return e.mon, true, e.err
-		case <-ctx.Done():
-			return nil, true, ctx.Err()
-		}
-	}
-	e := &monitorEntry{key: key, ready: make(chan struct{}), added: time.Now()}
-	c.entries[key] = e
-	c.order = append(c.order, key)
-	c.evictLocked()
-	c.mu.Unlock()
-	xInferMonitorMisses.Add(1)
-
-	e.mon, e.err = build()
-	if e.err == nil {
-		if doc, err := vnn.MarshalMonitor(e.mon); err == nil {
-			e.bytes = int64(len(doc))
-		}
-	}
-	close(e.ready)
-	c.mu.Lock()
-	if e.err != nil {
-		if cur, ok := c.entries[key]; ok && cur == e {
-			c.dropLocked(key, e)
-		}
-	} else if _, ok := c.entries[key]; ok {
-		e.contentFP = e.mon.Fingerprint()
-		c.byContent[e.contentFP] = e
-	}
-	c.mu.Unlock()
-	return e.mon, false, e.err
-}
-
-// entriesInfo snapshots every completed, successful monitor entry for the
-// GET /v1/workloads index (workload key, not content hash — the index
-// lists build workloads; content hashes travel in infer responses).
-func (c *monitorCache) entriesInfo() []cachedArtifact {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]cachedArtifact, 0, len(c.order))
-	for _, key := range c.order {
-		e := c.entries[key]
-		select {
-		case <-e.ready:
-			if e.err == nil {
-				out = append(out, cachedArtifact{key: e.key, bytes: e.bytes, added: e.added})
+	c := &monitorCache{
+		lru: newLRU[string](capacity, func(m *vnn.Monitor) int64 {
+			// Accounted as the marshaled monitor document's length.
+			doc, err := vnn.MarshalMonitor(m)
+			if err != nil {
+				return 0
 			}
-		default:
+			return int64(len(doc))
+		}),
+		byContent: make(map[string]string),
+	}
+	c.onReady = func(key string, m *vnn.Monitor) { c.byContent[m.Fingerprint()] = key }
+	c.onEvict = func(key string, _ *vnn.Monitor) {
+		// A scan over at most capacity entries, instead of re-hashing
+		// the evicted monitor's patterns.
+		for fp, k := range c.byContent {
+			if k == key {
+				delete(c.byContent, fp)
+				return
+			}
 		}
 	}
-	return out
+	return c
 }
 
-// contentKeys snapshots the content fingerprints of every completed
+// contentKeys snapshots the content fingerprints of every resident
 // monitor — the monitor half of the fleet plane's set enumeration.
 func (c *monitorCache) contentKeys() []string {
 	c.mu.Lock()
@@ -789,76 +650,17 @@ func (c *monitorCache) importContent(mon *vnn.Monitor) bool {
 	if _, ok := c.byContent[fp]; ok {
 		return false
 	}
-	if _, ok := c.entries[fp]; ok {
-		return false
-	}
-	e := &monitorEntry{key: fp, ready: make(chan struct{}), mon: mon, contentFP: fp, added: time.Now()}
-	if doc, err := vnn.MarshalMonitor(mon); err == nil {
-		e.bytes = int64(len(doc))
-	}
-	close(e.ready)
-	c.entries[fp] = e
-	c.order = append(c.order, fp)
-	c.byContent[fp] = e
-	c.evictLocked()
-	return true
+	return c.importLocked(fp, mon)
 }
 
-// lookupContent resolves a built monitor by its content fingerprint
-// (Monitor.Fingerprint), touching its workload entry's LRU position.
+// lookupContent resolves a resident monitor by its content fingerprint
+// (Monitor.Fingerprint), touching its entry's LRU position.
 func (c *monitorCache) lookupContent(contentFP string) (*vnn.Monitor, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e, ok := c.byContent[contentFP]
+	key, ok := c.byContent[contentFP]
 	if !ok {
 		return nil, false
 	}
-	c.touchLocked(e.key)
-	return e.mon, true
-}
-
-// touchLocked moves key to the most-recently-used position.
-func (c *monitorCache) touchLocked(key string) {
-	c.removeOrderLocked(key)
-	c.order = append(c.order, key)
-}
-
-func (c *monitorCache) removeOrderLocked(key string) {
-	for i, k := range c.order {
-		if k == key {
-			c.order = append(c.order[:i], c.order[i+1:]...)
-			return
-		}
-	}
-}
-
-// dropLocked removes entry e stored under key, including its content
-// index (unless a newer entry took the content slot).
-func (c *monitorCache) dropLocked(key string, e *monitorEntry) {
-	delete(c.entries, key)
-	c.removeOrderLocked(key)
-	if e.contentFP != "" && c.byContent[e.contentFP] == e {
-		delete(c.byContent, e.contentFP)
-	}
-}
-
-// evictLocked drops least-recently-used completed entries over capacity.
-func (c *monitorCache) evictLocked() {
-	for i := 0; len(c.entries) > c.capacity && i < len(c.order); {
-		key := c.order[i]
-		e := c.entries[key]
-		select {
-		case <-e.ready:
-			c.dropLocked(key, e)
-		default:
-			i++ // still building: never evicted (it is brand new anyway)
-		}
-	}
-}
-
-// Len returns the number of cached (including in-flight) monitors.
-func (c *monitorCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
+	return c.getLocked(key)
 }

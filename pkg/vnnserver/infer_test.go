@@ -7,6 +7,8 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -520,6 +522,93 @@ func TestInferByFingerprint(t *testing.T) {
 	})
 	if status := postInfer(t, ts.URL, contradiction, nil); status != http.StatusBadRequest {
 		t.Fatalf("contradictory fingerprint: status %d, want 400", status)
+	}
+}
+
+// TestInferCacheEviction pins LRU eviction in the monitor and workload
+// caches at capacity 2: after three monitored workloads, the least
+// recently used monitor and workload are gone (404), the monitor touched
+// just before the third workload still serves, and GET /v1/workloads
+// lists exactly the survivors.
+func TestInferCacheEviction(t *testing.T) {
+	srv, ts := newTestServer(t, vnnserver.Config{CacheEntries: 2})
+	rng := rand.New(rand.NewSource(41))
+	type workload struct {
+		net          *nn.Network
+		data, inputs [][]float64
+		resp         vnnserver.InferResponse
+	}
+	var wls [3]workload
+	prime := func(w *workload) {
+		t.Helper()
+		mon := &vnnserver.InferMonitorSpec{Data: w.data, Gamma: 1}
+		if status := postInfer(t, ts.URL, inferBody(t, w.net, w.inputs, mon), &w.resp); status != http.StatusOK {
+			t.Fatalf("full request: status %d", status)
+		}
+	}
+	byFingerprint := func(req vnnserver.InferRequest, out any) int {
+		t.Helper()
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return postInfer(t, ts.URL, body, out)
+	}
+	for i := range wls {
+		net := inferNet(int64(50 + i))
+		wls[i] = workload{net: net, data: randRows(rng, 16, net.InputDim(), 1), inputs: randRows(rng, 4, net.InputDim(), 1)}
+	}
+	prime(&wls[0])
+	prime(&wls[1])
+	// Touch workload 0 and its monitor, so workload 1 is the LRU one.
+	w0 := vnnserver.InferRequest{Fingerprint: wls[0].resp.Fingerprint, MonitorFingerprint: wls[0].resp.MonitorFingerprint, Inputs: wls[0].inputs}
+	if status := byFingerprint(w0, nil); status != http.StatusOK {
+		t.Fatalf("touch: status %d", status)
+	}
+	prime(&wls[2])
+
+	// The compile cache is not touched by by-fingerprint requests, so it
+	// keeps workloads 1 and 2; the monitor cache keeps 0 and 2.
+	monitorKey := func(w *workload) string {
+		return vnn.MonitorWorkloadFingerprint(w.resp.Fingerprint, w.data, vnn.MonitorOptions{Gamma: 1})
+	}
+	want := []string{wls[1].resp.Fingerprint, wls[2].resp.Fingerprint, monitorKey(&wls[0]), monitorKey(&wls[2])}
+	sort.Strings(want)
+	var idx vnnserver.WorkloadsResponse
+	getJSON(t, ts.URL+"/v1/workloads", http.StatusOK, &idx)
+	var got []string
+	for _, e := range idx.Workloads {
+		got = append(got, e.Fingerprint)
+	}
+	if !slicesEqual(got, want) {
+		t.Fatalf("GET /v1/workloads lists %v, want %v", got, want)
+	}
+	if m := srv.Metrics(); m.Infer.Monitors > 2 || m.Infer.Workloads > 2 {
+		t.Fatalf("caches exceed capacity 2: %d monitors, %d workloads", m.Infer.Monitors, m.Infer.Workloads)
+	}
+
+	var ir vnnserver.InferResponse
+	if status := byFingerprint(w0, &ir); status != http.StatusOK || !ir.MonitorCacheHit {
+		t.Fatalf("touched monitor: status %d, monitor_cache_hit %v", status, ir.MonitorCacheHit)
+	}
+	if status := byFingerprint(vnnserver.InferRequest{Fingerprint: wls[1].resp.Fingerprint, Inputs: wls[1].inputs}, nil); status != http.StatusNotFound {
+		t.Fatalf("evicted workload: status %d, want 404", status)
+	}
+	// The evicted monitor's workload is re-sent in full; only the monitor
+	// is missing.
+	netJSON, err := vnn.MarshalNetwork(wls[1].net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var errResp struct{ Error string }
+	status := byFingerprint(vnnserver.InferRequest{
+		Network:            netJSON,
+		Region:             vnn.RegionSpec{Box: inferBox(wls[1].net.InputDim())},
+		MonitorFingerprint: wls[1].resp.MonitorFingerprint,
+		Inputs:             wls[1].inputs,
+	}, &errResp)
+	if status != http.StatusNotFound || !strings.Contains(errResp.Error, "send the full monitor spec") {
+		t.Fatalf("evicted monitor: status %d (%q), want 404 asking for the full monitor spec", status, errResp.Error)
 	}
 }
 

@@ -1,10 +1,13 @@
 package vnnserver
 
 import (
+	"context"
 	"fmt"
+	"net/http"
 	"sync"
 	"time"
 
+	"repro/internal/obs"
 	"repro/pkg/vnn"
 )
 
@@ -146,4 +149,93 @@ func (r *registry) pruneLocked() {
 		delete(r.jobs, id)
 		r.order = append(r.order[:i], r.order[i+1:]...)
 	}
+}
+
+// jobRun is one admitted job plus what its shared lifecycle needs; the
+// route fills in everything past async before handing it to serveJob.
+type jobRun struct {
+	*job
+	async   bool
+	tr      *obs.Trace
+	tn      *obs.TenantStats // nil for the model gate, which is not tenant traffic
+	route   string           // tenant route label
+	latency *obs.Histogram
+	timeout time.Duration // <= 0 falls back to Config.DefaultTimeout
+	// counted, when set, runs after the body and before the job turns
+	// terminal: routes bump their request counters there, after the
+	// effort counters the body bumped (the Metrics ordering guarantee).
+	counted func(err error)
+}
+
+// admitJob is the one admission block of the job routes. Admission
+// happens at submit time so overload surfaces as immediate backpressure
+// for sync and async clients alike; runJob releases the token. It holds
+// drainMu so a job is never admitted after Drain stopped waiting, and an
+// async job's wg.Add always precedes Drain's wg.Wait.
+func (s *Server) admitJob(fingerprint string, async bool) (*jobRun, error) {
+	s.drainMu.Lock()
+	defer s.drainMu.Unlock()
+	if s.draining.Load() {
+		return nil, errDraining
+	}
+	if err := s.sched.Admit(); err != nil {
+		return nil, err
+	}
+	if async {
+		s.wg.Add(1)
+	}
+	return &jobRun{job: s.jobs.create(fingerprint), async: async}, nil
+}
+
+// serveJob answers an admitted job: inline for a synchronous request, or
+// 202 with accepted while the job runs on. Async jobs outlive their HTTP
+// request; only their deadline and drain bound them.
+func (s *Server) serveJob(w http.ResponseWriter, r *http.Request, jr *jobRun, accepted any, status func(error) int, body func(ctx context.Context, fairWorkers int) (any, error)) {
+	if !jr.async {
+		resp, err := s.runJob(r.Context(), jr, body)
+		if err != nil {
+			writeError(w, status(err), err.Error())
+			return
+		}
+		writeJSON(w, http.StatusOK, resp)
+		return
+	}
+	go func() {
+		defer s.wg.Done()
+		s.runJob(s.queryCtx, jr, body)
+	}()
+	writeJSON(w, http.StatusAccepted, accepted)
+}
+
+// runJob is the one lifecycle of an admitted job. The deadline and
+// server drain both cancel the job's context. The "queue" span covers
+// the admission wait and ends even when admission fails. body runs under
+// the scheduler with the fair worker share, and its answer becomes the
+// job's terminal result. The trace finishes when runJob returns: it
+// covers the work, not the response write.
+func (s *Server) runJob(parent context.Context, jr *jobRun, body func(ctx context.Context, fairWorkers int) (any, error)) (any, error) {
+	start := time.Now()
+	defer jr.tr.Finish()
+	defer observeSince(jr.latency, start)
+	defer func() { jr.tn.Route(jr.route).Count(time.Since(start)) }()
+	ctx, cancel := s.deadlineContext(parent, jr.timeout)
+	defer cancel()
+	defer context.AfterFunc(s.queryCtx, cancel)() // drain interrupts the job
+
+	root := jr.tr.Root()
+	queueSpan := root.Child("queue")
+	var resp any
+	err := s.sched.RunAdmitted(ctx, jr.tn, func(ctx context.Context, fairWorkers int) error {
+		queueSpan.End()
+		root.SetAttr("workers", fairWorkers)
+		var err error
+		resp, err = body(ctx, fairWorkers)
+		return err
+	})
+	queueSpan.End() // no-op if body ran; ends the wait if admission failed
+	if jr.counted != nil {
+		jr.counted(err)
+	}
+	jr.finish(resp, err)
+	return resp, err
 }

@@ -1,51 +1,11 @@
 package vnnserver
 
 import (
-	"expvar"
-
 	"repro/internal/milp"
 	"repro/internal/obs"
 	"repro/internal/verify"
 	"repro/pkg/vnnfleet"
 	"repro/pkg/vnnregistry"
-)
-
-// Process-wide expvar counters, published once under the vnnd.*
-// namespace. Like internal/verify's EncodePasses/TightenPasses they
-// aggregate across every Server in the process, so they are visible both
-// through each server's /metrics snapshot and through the standard
-// /debug/vars endpoint wherever the caller mounts expvar.Handler().
-var (
-	xCacheHits      = expvar.NewInt("vnnd.cache.hits")
-	xCacheMisses    = expvar.NewInt("vnnd.cache.misses")
-	xCacheEvictions = expvar.NewInt("vnnd.cache.evictions")
-	// xCacheBytes is the accounted resident size of completed compile
-	// cache entries (sums vnn.CompiledNetwork.SizeBytes; falls on evict).
-	xCacheBytes     = expvar.NewInt("vnnd.cache.bytes")
-	xQueries        = expvar.NewInt("vnnd.queries")
-	xAnalyzes       = expvar.NewInt("vnnd.analyzes")
-	xFalsifications = expvar.NewInt("vnnd.falsifications")
-	xRejected       = expvar.NewInt("vnnd.rejected")
-	xNodes          = expvar.NewInt("vnnd.nodes")
-	xLPPivots       = expvar.NewInt("vnnd.lp_pivots")
-	// xAnalysisKinds counts analyses served through /v1/analyze by kind
-	// (vnnd.analyses.coverage, vnnd.analyses.quant_sweep, ...).
-	xAnalysisKinds = expvar.NewMap("vnnd.analyses")
-	// vnnd.infer.* instruments the online inference plane: requests and
-	// inputs served, inputs the runtime monitor flagged out-of-pattern,
-	// and monitor-cache effectiveness (misses = monitor builds).
-	xInferRequests      = expvar.NewInt("vnnd.infer.requests")
-	xInferInputs        = expvar.NewInt("vnnd.infer.inputs")
-	xInferFlagged       = expvar.NewInt("vnnd.infer.flagged")
-	xInferMonitorHits   = expvar.NewInt("vnnd.infer.monitor.hits")
-	xInferMonitorMisses = expvar.NewInt("vnnd.infer.monitor.misses")
-	// vnnd.models.* instruments the verified-rollout plane: versions
-	// submitted, gate outcomes, and lifecycle operations.
-	xModelSubmits    = expvar.NewInt("vnnd.models.submits")
-	xModelAdmitted   = expvar.NewInt("vnnd.models.admitted")
-	xModelRejected   = expvar.NewInt("vnnd.models.rejected")
-	xModelPromotions = expvar.NewInt("vnnd.models.promotions")
-	xModelRollbacks  = expvar.NewInt("vnnd.models.rollbacks")
 )
 
 // Metrics is the /metrics snapshot: cache effectiveness, admission state,

@@ -19,7 +19,6 @@ import (
 	"strconv"
 	"time"
 
-	"repro/internal/obs"
 	"repro/pkg/vnn"
 	"repro/pkg/vnnregistry"
 )
@@ -104,36 +103,30 @@ func registryStatus(err error) int {
 }
 
 // registryCompile is the CompileFunc the server injects into the
-// registry: the shared fingerprint-keyed singleflight cache, compiling
-// under the server's lifetime context (a gate compile is shared work —
+// registry: the shared compile path (a gate compile is shared work —
 // /v1/verify requests for the same fingerprint hit it). Successful
 // compiles also prime the by-fingerprint infer workload cache, so a
 // version's artifact is immediately servable via plain fingerprint
 // requests and exportable to fleet peers.
 func (s *Server) registryCompile(ctx context.Context, fp string, net *vnn.Network, region *vnn.Region, opts vnn.Options) (*vnn.CompiledNetwork, bool, error) {
-	cn, hit, err := s.cache.GetOrCompile(ctx, fp, func() (*vnn.CompiledNetwork, error) {
-		compileStart := time.Now()
-		cn, err := vnn.Compile(s.queryCtx, net, region, opts)
-		if err == nil {
-			s.obs.compileTime.Observe(int64(time.Since(compileStart)))
-		}
-		return cn, err
-	})
+	cn, hit, err := s.compile(ctx, nil, fp, net, region, opts)
 	if err == nil {
-		s.workloads.put(fp, &inferWorkload{net: net, region: region, compileOpts: opts})
+		s.rememberWorkload(fp, &inferWorkload{net: net, region: region, compileOpts: opts})
 	}
 	return cn, hit, err
 }
 
-// registryBuildMonitor routes gate-time monitor builds through the same
-// monitor cache as /v1/infer, so a version's serving monitor is also
-// reusable by monitor_fingerprint requests and fleet replication.
-func (s *Server) registryBuildMonitor(ctx context.Context, wfp string, cn *vnn.CompiledNetwork, data [][]float64, opts vnn.MonitorOptions) (*vnn.Monitor, bool, error) {
+// buildMonitor is every monitor build's path, from /v1/infer and from
+// registry gates alike: the monitor cache under its build-workload
+// fingerprint wfp, so a version's serving monitor is also reusable by
+// monitor_fingerprint requests and fleet replication. Only actual builds
+// feed the histogram; hits are cache waits.
+func (s *Server) buildMonitor(ctx context.Context, wfp string, cn *vnn.CompiledNetwork, data [][]float64, opts vnn.MonitorOptions) (*vnn.Monitor, bool, error) {
 	buildStart := time.Now()
-	mon, hit, err := s.monitors.getOrBuild(ctx, wfp, func() (*vnn.Monitor, error) {
+	mon, hit, err := s.monitors.getOrLoad(ctx, wfp, func() (*vnn.Monitor, error) {
 		return vnn.BuildMonitor(cn, data, opts)
 	})
-	if err == nil && !hit {
+	if !hit {
 		observeSince(s.obs.monitorBuild, buildStart)
 	}
 	return mon, hit, err
@@ -212,7 +205,7 @@ func (s *Server) prepareModelSubmit(req *ModelSubmitRequest) (*preparedSubmit, e
 
 func (s *Server) handleModelSubmit(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
-		writeError(w, http.StatusServiceUnavailable, "server is draining")
+		writeError(w, http.StatusServiceUnavailable, errDraining.Error())
 		return
 	}
 	var req ModelSubmitRequest
@@ -232,123 +225,60 @@ func (s *Server) handleModelSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// The gate defaults to asynchronous — it runs real verification
-	// workloads — but follows the same admit-at-submit discipline as
-	// /v1/verify: backpressure is immediate either way.
-	async := req.Wait == nil || !*req.Wait
-	s.drainMu.Lock()
-	if s.draining.Load() {
-		s.drainMu.Unlock()
-		writeError(w, http.StatusServiceUnavailable, "server is draining")
-		return
-	}
-	if err := s.sched.Admit(); err != nil {
-		s.drainMu.Unlock()
+	// workloads — but is admitted at submit time like every job.
+	jr, err := s.admitJob(q.sub.Fingerprint, req.Wait == nil || !*req.Wait)
+	if err != nil {
 		writeError(w, statusFor(err), err.Error())
 		return
 	}
-	if async {
-		s.wg.Add(1)
-	}
-	s.drainMu.Unlock()
-
 	v, err := s.registry.Submit(q.sub)
 	if err != nil {
 		// Undo the admission: the gate run that would release it will
 		// never start.
 		s.sched.cancelAdmitted()
-		if async {
+		if jr.async {
 			s.wg.Done()
 		}
+		jr.finish(nil, err)
 		writeError(w, registryStatus(err), err.Error())
 		return
 	}
-	xModelSubmits.Add(1)
-	jb := s.jobs.create(q.sub.Fingerprint)
-	s.registry.SetGateJob(v, jb.id)
-	tr := s.obs.rec.Start("gate", jb.id)
-	tr.Root().SetAttr("model", v.Model())
-	tr.Root().SetAttr("version", v.Seq())
-	tr.Root().SetAttr("fingerprint", q.sub.Fingerprint)
-
-	if !async {
-		resp, err := s.runModelGate(r.Context(), jb, tr, v, q, &req)
-		if err != nil {
-			writeError(w, registryStatus(err), err.Error())
-			return
-		}
-		writeJSON(w, http.StatusOK, resp)
-		return
+	s.registry.SetGateJob(v, jr.id)
+	jr.tr = s.obs.rec.Start("gate", jr.id)
+	jr.tr.Root().SetAttr("model", v.Model())
+	jr.tr.Root().SetAttr("version", v.Seq())
+	jr.tr.Root().SetAttr("fingerprint", q.sub.Fingerprint)
+	jr.latency = s.obs.gateLatency
+	jr.timeout = time.Duration(req.TimeoutMS) * time.Millisecond
+	if jr.timeout <= 0 && q.gate != nil {
+		jr.timeout = time.Duration(q.gate.TimeoutMS) * time.Millisecond
 	}
-	go func() {
-		defer s.wg.Done()
-		s.runModelGate(s.queryCtx, jb, tr, v, q, &req)
-	}()
-	writeJSON(w, http.StatusAccepted, ModelSubmitResponse{
-		ID:               jb.id,
-		ModelVersionJSON: s.registry.Doc(v),
+	accepted := ModelSubmitResponse{ID: jr.id, ModelVersionJSON: s.registry.Doc(v)}
+	s.serveJob(w, r, jr, accepted, registryStatus, func(ctx context.Context, fairWorkers int) (any, error) {
+		return s.runModelGate(ctx, jr, v, &req, fairWorkers)
 	})
 }
 
-// runModelGate executes one version's admission gate under scheduler
-// control, mirroring runAnalyze: queue span, fair worker share, SSE
-// progress through the job, drain interruption. The lifecycle decision
-// itself (admitted/rejected, persistence) belongs to the registry.
-func (s *Server) runModelGate(parent context.Context, jb *job, tr *obs.Trace, v *vnnregistry.Version, q *preparedSubmit, req *ModelSubmitRequest) (*ModelSubmitResponse, error) {
-	start := time.Now()
-	defer tr.Finish()
-	defer observeSince(s.obs.gateLatency, start)
-	timeout := time.Duration(req.TimeoutMS) * time.Millisecond
-	if timeout <= 0 && q.gate != nil {
-		timeout = time.Duration(q.gate.TimeoutMS) * time.Millisecond
+// runModelGate is the gate job's body: one version's admission gate with
+// the fair worker share and SSE progress through the job. The lifecycle
+// decision itself (admitted/rejected, persistence) belongs to the
+// registry.
+func (s *Server) runModelGate(ctx context.Context, jr *jobRun, v *vnnregistry.Version, req *ModelSubmitRequest, fairWorkers int) (*ModelSubmitResponse, error) {
+	opts := vnn.Options{Workers: req.Options.Workers, Parallel: req.Options.Parallel, MaxNodes: req.Options.MaxNodes}
+	if opts.Workers == 0 {
+		opts.Workers = fairWorkers
 	}
-	if timeout <= 0 {
-		timeout = s.cfg.DefaultTimeout
+	opts.Progress = func(ev vnn.Event) { jr.publish(ev) }
+	res, err := s.registry.RunGate(ctx, v, vnnregistry.GateRunOptions{Opts: opts, Span: jr.tr.Root()})
+	if err != nil {
+		return nil, err
 	}
-	var qctx context.Context
-	var cancel context.CancelFunc
-	if timeout > 0 {
-		qctx, cancel = context.WithTimeout(parent, timeout)
-	} else {
-		qctx, cancel = context.WithCancel(parent)
+	resp := &ModelSubmitResponse{ID: jr.id, ModelVersionJSON: res.Doc}
+	if len(res.Findings) > 0 {
+		rep := vnn.NewAnalysisReport(nil, res.Findings)
+		resp.Report = &rep
 	}
-	defer cancel()
-	stop := context.AfterFunc(s.queryCtx, cancel) // drain interrupts the gate
-	defer stop()
-
-	root := tr.Root()
-	queueSpan := root.Child("queue")
-	var resp *ModelSubmitResponse
-	err := s.sched.RunAdmitted(qctx, nil, func(ctx context.Context, fairWorkers int) error {
-		queueSpan.End()
-		root.SetAttr("workers", fairWorkers)
-		opts := vnn.Options{Workers: req.Options.Workers, Parallel: req.Options.Parallel, MaxNodes: req.Options.MaxNodes}
-		if opts.Workers == 0 {
-			opts.Workers = fairWorkers
-		}
-		opts.Progress = func(ev vnn.Event) { jb.publish(ev) }
-		res, err := s.registry.RunGate(ctx, v, vnnregistry.GateRunOptions{Opts: opts, Span: root})
-		if err != nil {
-			return err
-		}
-		resp = &ModelSubmitResponse{ID: jb.id, ModelVersionJSON: res.Doc}
-		if len(res.Findings) > 0 {
-			rep := vnn.NewAnalysisReport(nil, res.Findings)
-			resp.Report = &rep
-		}
-		return nil
-	})
-	queueSpan.End()
-	if err == nil {
-		if resp.State == string(vnnregistry.StateAdmitted) {
-			xModelAdmitted.Add(1)
-		} else {
-			xModelRejected.Add(1)
-		}
-	} else {
-		xModelRejected.Add(1)
-	}
-	jb.finish(resp, err)
-	return resp, err
+	return resp, nil
 }
 
 func (s *Server) handleModels(w http.ResponseWriter, _ *http.Request) {
@@ -401,7 +331,7 @@ func (s *Server) handleModelEvents(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleModelPromote(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
-		writeError(w, http.StatusServiceUnavailable, "server is draining")
+		writeError(w, http.StatusServiceUnavailable, errDraining.Error())
 		return
 	}
 	var req ModelPromoteRequest
@@ -419,13 +349,12 @@ func (s *Server) handleModelPromote(w http.ResponseWriter, r *http.Request) {
 		writeError(w, registryStatus(err), err.Error())
 		return
 	}
-	xModelPromotions.Add(1)
 	writeJSON(w, http.StatusOK, ModelSubmitResponse{ModelVersionJSON: doc})
 }
 
 func (s *Server) handleModelRollback(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
-		writeError(w, http.StatusServiceUnavailable, "server is draining")
+		writeError(w, http.StatusServiceUnavailable, errDraining.Error())
 		return
 	}
 	doc, err := s.registry.Rollback(r.PathValue("name"))
@@ -433,7 +362,6 @@ func (s *Server) handleModelRollback(w http.ResponseWriter, r *http.Request) {
 		writeError(w, registryStatus(err), err.Error())
 		return
 	}
-	xModelRollbacks.Add(1)
 	writeJSON(w, http.StatusOK, ModelSubmitResponse{ModelVersionJSON: doc})
 }
 

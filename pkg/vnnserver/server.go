@@ -54,15 +54,14 @@
 //	GET  /readyz                 readiness: 503 while draining or before
 //	                             registry recovery completes
 //	GET  /metrics                JSON metrics snapshot (see Metrics),
-//	                             including per-kind analysis counters
-//	GET  /debug/vars             standard expvar dump (vnnd.* counters)
+//	                             including per-kind analysis counters;
+//	                             the server's only counter source
 package vnnserver
 
 import (
 	"context"
 	"encoding/json"
 	"errors"
-	"expvar"
 	"fmt"
 	"io"
 	"math/rand/v2"
@@ -162,7 +161,7 @@ type Server struct {
 	// path never contends on a sync.Pool. workloads remembers served
 	// (network, region, options) triples for by-fingerprint requests.
 	shards    *inferShards
-	workloads *workloadCache
+	workloads *lru[string, *inferWorkload]
 
 	// fleet is the replication peer (see fleet.go for the Store
 	// implementation); its endpoints are always mounted, its reconcile
@@ -204,13 +203,11 @@ type Server struct {
 	analysisKinds map[string]int64
 }
 
-// countAnalysis bumps the per-kind analysis counters (server snapshot and
-// process-wide expvar map).
+// countAnalysis bumps the per-kind analysis counters.
 func (s *Server) countAnalysis(kind string) {
 	s.analysisMu.Lock()
 	s.analysisKinds[kind]++
 	s.analysisMu.Unlock()
-	xAnalysisKinds.Add(kind, 1)
 }
 
 // analysisCounts snapshots the per-kind analysis counters.
@@ -240,7 +237,7 @@ func New(cfg Config) *Server {
 		cache:         NewCache(cfg.CacheEntries),
 		monitors:      newMonitorCache(cfg.CacheEntries),
 		shards:        newInferShards(cfg.InferWorkers),
-		workloads:     newWorkloadCache(cfg.CacheEntries),
+		workloads:     newLRU[string, *inferWorkload](cfg.CacheEntries, nil),
 		sched:         NewScheduler(cfg.MaxConcurrent, cfg.QueueDepth),
 		jobs:          newRegistry(),
 		start:         time.Now(),
@@ -273,7 +270,6 @@ func New(cfg Config) *Server {
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /readyz", s.handleReadyz)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
-	mux.Handle("GET /debug/vars", expvar.Handler())
 	mux.HandleFunc("GET /debug/traces", s.handleTraces)
 	mux.HandleFunc("GET /debug/traces/{id}", s.handleTrace)
 	if cfg.EnablePprof {
@@ -289,7 +285,7 @@ func New(cfg Config) *Server {
 	s.registry = vnnregistry.New(vnnregistry.Config{
 		Dir:          cfg.DataDir,
 		Compile:      s.registryCompile,
-		BuildMonitor: s.registryBuildMonitor,
+		BuildMonitor: s.buildMonitor,
 		ImportMonitor: func(m *vnn.Monitor) {
 			// Recovered serving monitors also prime the by-content monitor
 			// cache, so monitor_fingerprint requests work across restarts.
@@ -465,6 +461,9 @@ type FalsifyResponse struct {
 	Evaluations int       `json:"evaluations"`
 }
 
+// errDraining rejects new work once Drain has begun (503).
+var errDraining = errors.New("server is draining")
+
 // errorResponse is the JSON error envelope.
 type errorResponse struct {
 	Error string `json:"error"`
@@ -521,7 +520,7 @@ func (s *Server) prepare(req *VerifyRequest) (*preparedQuery, error) {
 
 func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
-		writeError(w, http.StatusServiceUnavailable, "server is draining")
+		writeError(w, http.StatusServiceUnavailable, errDraining.Error())
 		return
 	}
 	var req VerifyRequest
@@ -534,155 +533,97 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	// Admission happens at submit time so overload surfaces as immediate
-	// backpressure for sync and async clients alike; runVerify releases
-	// the token. Held under drainMu so a request is never admitted after
-	// Drain stopped waiting (and wg.Add always precedes Drain's wg.Wait).
-	async := req.Wait != nil && !*req.Wait
-	s.drainMu.Lock()
-	if s.draining.Load() {
-		s.drainMu.Unlock()
-		writeError(w, http.StatusServiceUnavailable, "server is draining")
-		return
-	}
-	if err := s.sched.Admit(); err != nil {
-		s.drainMu.Unlock()
+	jr, err := s.admitJob(q.fingerprint, req.Wait != nil && !*req.Wait)
+	if err != nil {
 		writeError(w, statusFor(err), err.Error())
 		return
 	}
-	if async {
-		s.wg.Add(1)
-	}
-	s.drainMu.Unlock()
-	jb := s.jobs.create(q.fingerprint)
 	// The trace shares the job id, so the id every response (and 202
 	// acknowledgment) echoes also addresses /debug/traces/{id}; an
 	// inbound traceparent additionally enrolls it in the caller's
 	// distributed trace.
-	tr := s.startTrace(r, "/v1/verify", jb.id)
-	tr.Root().SetAttr("fingerprint", q.fingerprint)
-	tn := s.tenantFor(r)
-
-	if !async {
-		resp, err := s.runVerify(r.Context(), jb, tr, tn, q, &req)
-		if err != nil {
-			writeError(w, statusFor(err), err.Error())
-			return
-		}
-		writeJSON(w, http.StatusOK, resp)
-		return
-	}
-	go func() {
-		defer s.wg.Done()
-		// Async queries outlive their HTTP request; only the per-request
-		// deadline and server drain bound them.
-		s.runVerify(s.queryCtx, jb, tr, tn, q, &req)
-	}()
-	writeJSON(w, http.StatusAccepted, AcceptedResponse{
-		ID: jb.id, Fingerprint: q.fingerprint, Status: "running",
-	})
-}
-
-// runVerify executes one prepared query under admission control and
-// records the outcome on its job. The compile, if this query has to
-// perform it, runs under the server's lifetime context rather than the
-// request's: a compile is shared work (other requests may be waiting on
-// the same fingerprint), so one impatient client must not abort it —
-// only server drain can.
-//
-// The trace's phase spans decompose the request: "queue" (admission
-// wait), "cache" (lookup, with a "compile" child on a miss whose
-// tighten/encode children come from internal/verify's phase clocks),
-// "solve" (branch-and-bound, one child per property from the progress
-// stream). The root's children never overlap, so their durations sum to
-// at most the trace's wall time. The trace finishes when runVerify
-// returns — it covers the work, not the HTTP response write.
-func (s *Server) runVerify(parent context.Context, jb *job, tr *obs.Trace, tn *obs.TenantStats, q *preparedQuery, req *VerifyRequest) (*VerifyResponse, error) {
-	start := time.Now()
-	defer tr.Finish()
-	defer observeSince(s.obs.verifyLatency, start)
-	defer func() { tn.Route("/v1/verify").Count(time.Since(start)) }()
-	timeout := time.Duration(req.TimeoutMS) * time.Millisecond
-	if timeout <= 0 {
-		timeout = s.cfg.DefaultTimeout
-	}
-	var qctx context.Context
-	var cancel context.CancelFunc
-	if timeout > 0 {
-		qctx, cancel = context.WithTimeout(parent, timeout)
-	} else {
-		qctx, cancel = context.WithCancel(parent)
-	}
-	defer cancel()
-	stop := context.AfterFunc(s.queryCtx, cancel) // drain interrupts the query
-	defer stop()
-
-	root := tr.Root()
-	queueSpan := root.Child("queue")
-	var resp *VerifyResponse
-	err := s.sched.RunAdmitted(qctx, tn, func(ctx context.Context, fairWorkers int) error {
-		queueSpan.End()
-		root.SetAttr("workers", fairWorkers)
-		opts := q.compileOpts
-		if opts.Workers == 0 {
-			opts.Workers = fairWorkers
-		}
-		cacheSpan := root.Child("cache")
-		cn, hit, err := s.cache.GetOrCompile(ctx, q.fingerprint, func() (*vnn.CompiledNetwork, error) {
-			return s.compileTraced(cacheSpan, q.net, q.region, opts)
-		})
-		cacheSpan.SetAttr("hit", hit)
-		cacheSpan.End()
-		if err != nil {
-			return err
-		}
-		qopts := opts
-		qopts.Parallel = req.Options.Parallel
-		qopts.MaxNodes = req.Options.MaxNodes
-		solveSpan := root.Child("solve")
-		ps := vnn.NewProgressSpans(solveSpan)
-		qopts.Progress = func(ev vnn.Event) {
-			jb.publish(ev)
-			ps.Observe(ev)
-		}
-		results, err := vnn.Verify(ctx, cn.WithOptions(qopts), q.props...)
-		ps.Close()
-		if err != nil {
-			solveSpan.End()
-			return err
-		}
-		var nodes, pivots int64
-		for _, res := range results {
-			nodes += int64(res.Stats.Nodes)
-			pivots += int64(res.Stats.LPPivots)
-		}
-		solveSpan.SetAttr("nodes", nodes)
-		solveSpan.SetAttr("lp_pivots", pivots)
-		solveSpan.End()
-		s.nodes.Add(nodes)
-		s.pivots.Add(pivots)
-		xNodes.Add(nodes)
-		xLPPivots.Add(pivots)
-		resp = &VerifyResponse{
-			ID:          jb.id,
-			Fingerprint: q.fingerprint,
-			CacheHit:    hit,
-			CompileMS:   float64(cn.CompileTime().Microseconds()) / 1e3,
-			Report:      vnn.NewReport(q.net, results),
-		}
-		return nil
-	})
-	queueSpan.End() // no-op if fn ran; ends the wait if admission failed
+	jr.tr = s.startTrace(r, "/v1/verify", jr.id)
+	jr.tr.Root().SetAttr("fingerprint", q.fingerprint)
+	jr.tn, jr.route, jr.latency = s.tenantFor(r), "/v1/verify", s.obs.verifyLatency
+	jr.timeout = time.Duration(req.TimeoutMS) * time.Millisecond
 	// Counter write order: nodes/pivots land strictly before queries, so
 	// a /metrics snapshot that reads queries first (see Metrics) never
 	// shows a counted query whose solver effort is missing.
-	s.queries.Add(1)
-	xQueries.Add(1)
-	jb.finish(resp, err)
-	return resp, err
+	jr.counted = func(error) { s.queries.Add(1) }
+	s.serveJob(w, r, jr, AcceptedResponse{ID: jr.id, Fingerprint: q.fingerprint, Status: "running"}, statusFor,
+		func(ctx context.Context, fairWorkers int) (any, error) {
+			return s.runVerify(ctx, jr, q, &req, fairWorkers)
+		})
 }
 
-// compileTraced wraps vnn.Compile with a "compile" span under parent,
+// runVerify is the verify job's body. The trace's phase spans decompose
+// the request: "queue" (admission wait, see runJob), "cache" (lookup,
+// with a "compile" child on a miss), "solve" (branch-and-bound, one
+// child per property from the progress stream). The root's children
+// never overlap, so their durations sum to at most the trace's wall
+// time.
+func (s *Server) runVerify(ctx context.Context, jr *jobRun, q *preparedQuery, req *VerifyRequest, fairWorkers int) (*VerifyResponse, error) {
+	root := jr.tr.Root()
+	opts := q.compileOpts
+	if opts.Workers == 0 {
+		opts.Workers = fairWorkers
+	}
+	cn, hit, err := s.compile(ctx, root, q.fingerprint, q.net, q.region, opts)
+	if err != nil {
+		return nil, err
+	}
+	qopts := opts
+	qopts.Parallel = req.Options.Parallel
+	qopts.MaxNodes = req.Options.MaxNodes
+	solveSpan := root.Child("solve")
+	ps := vnn.NewProgressSpans(solveSpan)
+	qopts.Progress = func(ev vnn.Event) {
+		jr.publish(ev)
+		ps.Observe(ev)
+	}
+	results, err := vnn.Verify(ctx, cn.WithOptions(qopts), q.props...)
+	ps.Close()
+	if err != nil {
+		solveSpan.End()
+		return nil, err
+	}
+	var nodes, pivots int64
+	for _, res := range results {
+		nodes += int64(res.Stats.Nodes)
+		pivots += int64(res.Stats.LPPivots)
+	}
+	solveSpan.SetAttr("nodes", nodes)
+	solveSpan.SetAttr("lp_pivots", pivots)
+	solveSpan.End()
+	s.nodes.Add(nodes)
+	s.pivots.Add(pivots)
+	return &VerifyResponse{
+		ID:          jr.id,
+		Fingerprint: q.fingerprint,
+		CacheHit:    hit,
+		CompileMS:   float64(cn.CompileTime().Microseconds()) / 1e3,
+		Report:      vnn.NewReport(q.net, results),
+	}, nil
+}
+
+// compile is every request's path to a compiled network: the shared
+// fingerprint-keyed cache, with a "cache" span (and its hit flag) under
+// parent. A miss compiles under the server's lifetime context rather
+// than the request's: a compile is shared work (other requests may be
+// waiting on the same fingerprint), so one impatient client must not
+// abort it — only server drain can. parent may be nil (untraced).
+func (s *Server) compile(ctx context.Context, parent *obs.Span, fp string, net *vnn.Network, region *vnn.Region, opts vnn.Options) (*vnn.CompiledNetwork, bool, error) {
+	sp := parent.Child("cache")
+	cn, hit, err := s.cache.GetOrCompile(ctx, fp, func() (*vnn.CompiledNetwork, error) {
+		return s.compileTraced(sp, net, region, opts)
+	})
+	sp.SetAttr("hit", hit)
+	sp.End()
+	return cn, hit, err
+}
+
+// compileTraced runs one actual compile: it observes vnnd_compile_seconds
+// exactly once, and wraps vnn.Compile with a "compile" span under parent,
 // attributing the pass to LP tightening vs MILP encoding from
 // internal/verify's process-wide phase clocks. The deltas are read
 // around this compile only; concurrent compiles in other requests can
@@ -707,6 +648,18 @@ func (s *Server) compileTraced(parent *obs.Span, net *vnn.Network, region *vnn.R
 	sp.End()
 	s.obs.compileTime.Observe(int64(wall))
 	return cn, err
+}
+
+// deadlineContext derives a request's working context: timeout, else
+// Config.DefaultTimeout, else no deadline.
+func (s *Server) deadlineContext(parent context.Context, timeout time.Duration) (context.Context, context.CancelFunc) {
+	if timeout <= 0 {
+		timeout = s.cfg.DefaultTimeout
+	}
+	if timeout > 0 {
+		return context.WithTimeout(parent, timeout)
+	}
+	return context.WithCancel(parent)
 }
 
 func (s *Server) handleGetVerify(w http.ResponseWriter, r *http.Request) {
@@ -827,7 +780,7 @@ func (s *Server) streamJob(w http.ResponseWriter, r *http.Request, jb *job) {
 
 func (s *Server) handleFalsify(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
-		writeError(w, http.StatusServiceUnavailable, "server is draining")
+		writeError(w, http.StatusServiceUnavailable, errDraining.Error())
 		return
 	}
 	var req FalsifyRequest
@@ -899,7 +852,6 @@ func (s *Server) handleFalsify(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.falsifications.Add(1)
-	xFalsifications.Add(1)
 	writeJSON(w, http.StatusOK, resp)
 }
 
@@ -935,6 +887,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // fault.
 func statusFor(err error) int {
 	switch {
+	case errors.Is(err, errDraining):
+		return http.StatusServiceUnavailable
 	case errors.Is(err, ErrQueueFull):
 		return http.StatusTooManyRequests
 	case errors.Is(err, context.DeadlineExceeded):

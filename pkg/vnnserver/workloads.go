@@ -39,16 +39,15 @@ type WorkloadsResponse struct {
 // query state.
 func (s *Server) handleWorkloads(w http.ResponseWriter, _ *http.Request) {
 	now := time.Now()
-	compiles := s.cache.entriesInfo()
-	monitors := s.monitors.entriesInfo()
+	compiles, monitors := s.cache.snapshot(), s.monitors.snapshot()
 	resp := WorkloadsResponse{Workloads: make([]WorkloadIndexEntry, 0, len(compiles)+len(monitors))}
-	add := func(kind string, arts []cachedArtifact) {
-		for _, a := range arts {
+	add := func(kind string, items []lruItem[string]) {
+		for _, it := range items {
 			resp.Workloads = append(resp.Workloads, WorkloadIndexEntry{
-				Fingerprint: a.key,
+				Fingerprint: it.key,
 				Kind:        kind,
-				Bytes:       a.bytes,
-				AgeMS:       float64(now.Sub(a.added).Microseconds()) / 1e3,
+				Bytes:       it.bytes,
+				AgeMS:       float64(now.Sub(it.added).Microseconds()) / 1e3,
 			})
 		}
 	}
