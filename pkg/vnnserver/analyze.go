@@ -5,7 +5,9 @@
 // through vnn.Analyze on the shared compiled artifact. Quantization
 // sweeps route their per-width recompiles through the same
 // fingerprint-keyed compile cache as everything else, so N concurrent
-// identical sweeps still perform exactly one compile per bit-width.
+// identical sweeps still perform exactly one compile per bit-width. The
+// route shares /v1/verify's front end and job body (handleSolve,
+// runSolve) and supplies only its counters, its query and its response.
 
 package vnnserver
 
@@ -14,7 +16,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"time"
 
 	"repro/pkg/vnn"
 )
@@ -65,28 +66,12 @@ type AnalyzeResponse struct {
 	vnn.Report
 }
 
-// preparedAnalysis is a parsed, validated analyze request.
-type preparedAnalysis struct {
-	net         *vnn.Network
-	region      *vnn.Region
-	analyses    []vnn.Analysis
-	kinds       []string
-	fingerprint string
-	compileOpts vnn.Options
-}
-
-// prepareAnalyze parses the request into engine values, validates every
-// analysis against the network, and fingerprints the base compile
-// workload. Everything that can be the client's fault is rejected here.
-func (s *Server) prepareAnalyze(req *AnalyzeRequest) (*preparedAnalysis, error) {
-	if len(req.Network) == 0 {
-		return nil, fmt.Errorf("request needs a network")
-	}
-	net, err := vnn.UnmarshalNetwork(req.Network)
-	if err != nil {
-		return nil, err
-	}
-	region, err := req.Region.Region()
+// prepareAnalyze parses an analyze request: the shared workload, then
+// every analysis, validated against the network and held to the
+// service's work caps. Quantization sweeps get the cached compile path
+// for their per-width recompiles.
+func (s *Server) prepareAnalyze(req *AnalyzeRequest) (*solveJob, error) {
+	wl, fp, err := parseWorkload(req.Network, req.Region, req.Options)
 	if err != nil {
 		return nil, err
 	}
@@ -94,31 +79,46 @@ func (s *Server) prepareAnalyze(req *AnalyzeRequest) (*preparedAnalysis, error) 
 		return nil, fmt.Errorf("request needs at least one analysis")
 	}
 	analyses := make([]vnn.Analysis, len(req.Analyses))
-	kinds := make([]string, len(req.Analyses))
 	for i := range req.Analyses {
 		if analyses[i], err = req.Analyses[i].Analysis(); err != nil {
 			return nil, fmt.Errorf("analysis %d: %w", i, err)
 		}
-		if err := req.Analyses[i].ValidateFor(net); err != nil {
+		if err := req.Analyses[i].ValidateFor(wl.net); err != nil {
 			return nil, fmt.Errorf("analysis %d: %w", i, err)
 		}
 		if err := capAnalysisWork(&req.Analyses[i]); err != nil {
 			return nil, fmt.Errorf("analysis %d: %w", i, err)
 		}
-		kinds[i] = analyses[i].Kind()
+		if qs, ok := analyses[i].(*vnn.QuantSweep); ok {
+			qs.Compile = s.cachedCompile
+		}
 	}
-	compileOpts := vnn.Options{Tighten: req.Options.Tighten, Workers: req.Options.Workers}
-	fp, err := vnn.Fingerprint(net, region, compileOpts)
-	if err != nil {
-		return nil, err
-	}
-	return &preparedAnalysis{
-		net:         net,
-		region:      region,
-		analyses:    analyses,
-		kinds:       kinds,
-		fingerprint: fp,
-		compileOpts: compileOpts,
+	var findings []*vnn.Finding
+	return &solveJob{
+		inferWorkload: wl, fingerprint: fp,
+		analyses: len(analyses), opts: req.Options, timeoutMS: req.TimeoutMS, wait: req.Wait,
+		count: func(err error) {
+			s.analyzes.Add(1)
+			if err == nil {
+				// Per-kind accounting happens once per completed batch so
+				// the counters mean "analyses served", not "analyses
+				// attempted".
+				s.analysisMu.Lock()
+				for _, a := range analyses {
+					s.analysisKinds[a.Kind()]++
+				}
+				s.analysisMu.Unlock()
+			}
+		},
+		query: func(ctx context.Context, cn *vnn.CompiledNetwork) (_ effort, err error) {
+			findings, err = vnn.Analyze(ctx, cn, analyses...)
+			return findingsEffort(findings), err
+		},
+		respond: func(hdr VerifyResponse) any {
+			hdr.Report = vnn.NewAnalysisReport(wl.net, findings)
+			// The two responses share one shape; the route keeps its type.
+			return (*AnalyzeResponse)(&hdr)
+		},
 	}, nil
 }
 
@@ -144,111 +144,8 @@ func capAnalysisWork(spec *vnn.AnalysisSpec) error {
 }
 
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
-		writeError(w, http.StatusServiceUnavailable, errDraining.Error())
-		return
-	}
 	var req AnalyzeRequest
-	if err := decodeJSON(w, r, s.cfg.MaxBodyBytes, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	q, err := s.prepareAnalyze(&req)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	jr, err := s.admitJob(q.fingerprint, req.Wait != nil && !*req.Wait)
-	if err != nil {
-		writeError(w, statusFor(err), err.Error())
-		return
-	}
-	// Trace id = job id, same as /v1/verify (see handleVerify).
-	jr.tr = s.startTrace(r, "/v1/analyze", jr.id)
-	jr.tr.Root().SetAttr("fingerprint", q.fingerprint)
-	jr.tr.Root().SetAttr("analyses", len(q.analyses))
-	jr.tn, jr.route, jr.latency = s.tenantFor(r), "/v1/analyze", s.obs.analyzeLatency
-	jr.timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-	jr.counted = func(err error) {
-		s.analyzes.Add(1)
-		if err == nil {
-			// Per-kind accounting happens once per completed batch so the
-			// counters mean "analyses served", not "analyses attempted".
-			for _, kind := range q.kinds {
-				s.countAnalysis(kind)
-			}
-		}
-	}
-	s.serveJob(w, r, jr, AcceptedResponse{ID: jr.id, Fingerprint: q.fingerprint, Status: "running"}, statusFor,
-		func(ctx context.Context, fairWorkers int) (any, error) {
-			return s.runAnalyze(ctx, jr, q, &req, fairWorkers)
-		})
-}
-
-// runAnalyze is the analyze job's body. The base compile — and every
-// quantized recompile a QuantSweep performs — goes through the shared
-// compile cache (see compile).
-func (s *Server) runAnalyze(ctx context.Context, jr *jobRun, q *preparedAnalysis, req *AnalyzeRequest, fairWorkers int) (*AnalyzeResponse, error) {
-	root := jr.tr.Root()
-	opts := q.compileOpts
-	if opts.Workers == 0 {
-		opts.Workers = fairWorkers
-	}
-	cn, hit, err := s.compile(ctx, root, q.fingerprint, q.net, q.region, opts)
-	if err != nil {
-		return nil, err
-	}
-	qopts := opts
-	qopts.Parallel = req.Options.Parallel
-	qopts.MaxNodes = req.Options.MaxNodes
-	// The solve span covers the whole portfolio; each analysis that
-	// streams solver progress contributes per-property children with
-	// their analysis index attributed (see vnn.ProgressSpans).
-	solveSpan := root.Child("solve")
-	ps := vnn.NewProgressSpans(solveSpan)
-	qopts.Progress = func(ev vnn.Event) {
-		jr.publish(ev)
-		ps.Observe(ev)
-	}
-	for _, a := range q.analyses {
-		if qs, ok := a.(*vnn.QuantSweep); ok {
-			qs.Compile = s.cachedCompile
-		}
-	}
-	findings, err := vnn.Analyze(ctx, cn.WithOptions(qopts), q.analyses...)
-	ps.Close()
-	if err != nil {
-		solveSpan.End()
-		return nil, err
-	}
-	var nodes, pivots int64
-	for _, f := range findings {
-		for _, res := range f.Verification {
-			nodes += int64(res.Stats.Nodes)
-			pivots += int64(res.Stats.LPPivots)
-		}
-		if f.QuantSweep != nil {
-			for _, res := range f.QuantSweep.Base {
-				nodes += int64(res.Stats.Nodes)
-				pivots += int64(res.Stats.LPPivots)
-			}
-			for _, pt := range f.QuantSweep.Points {
-				for _, res := range pt.Results {
-					nodes += int64(res.Stats.Nodes)
-					pivots += int64(res.Stats.LPPivots)
-				}
-			}
-		}
-	}
-	s.nodes.Add(nodes)
-	s.pivots.Add(pivots)
-	return &AnalyzeResponse{
-		ID:          jr.id,
-		Fingerprint: q.fingerprint,
-		CacheHit:    hit,
-		CompileMS:   float64(cn.CompileTime().Microseconds()) / 1e3,
-		Report:      vnn.NewAnalysisReport(q.net, findings),
-	}, nil
+	s.handleSolve(w, r, "/v1/analyze", s.obs.analyzeLatency, &req, func() (*solveJob, error) { return s.prepareAnalyze(&req) })
 }
 
 // cachedCompile is the CompileFunc the server injects into quantization

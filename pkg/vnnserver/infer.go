@@ -83,6 +83,24 @@ type InferMonitorSpec struct {
 	Layers []int `json:"layers,omitempty"`
 }
 
+// validate is the one check of a monitor spec, for /v1/infer and
+// /v1/models alike: a non-empty dataset within the maxMonitorData cap,
+// then the network-dependent rules (dimensions, gamma, layers), which
+// the MonitorAudit analysis owns. It returns the monitor's build options.
+func (m *InferMonitorSpec) validate(net *vnn.Network) (vnn.MonitorOptions, error) {
+	if len(m.Data) == 0 {
+		return vnn.MonitorOptions{}, fmt.Errorf("monitor needs a build dataset")
+	}
+	if len(m.Data) > maxMonitorData {
+		return vnn.MonitorOptions{}, fmt.Errorf("monitor dataset of %d rows exceeds the %d cap", len(m.Data), maxMonitorData)
+	}
+	audit := vnn.MonitorAudit{Data: m.Data, Gamma: m.Gamma, Layers: m.Layers}
+	if err := audit.Validate(net); err != nil {
+		return vnn.MonitorOptions{}, err
+	}
+	return vnn.MonitorOptions{Gamma: m.Gamma, Layers: m.Layers}, nil
+}
+
 // InferRequest is the POST /v1/infer body.
 type InferRequest struct {
 	// Model serves through the verified-rollout registry instead of a
@@ -168,10 +186,8 @@ type InferResponse struct {
 
 // preparedInfer is a parsed, validated infer request.
 type preparedInfer struct {
-	net         *vnn.Network
-	region      *vnn.Region
+	inferWorkload
 	fingerprint string
-	compileOpts vnn.Options
 	monitorFP   string
 	monitorOpts vnn.MonitorOptions
 	// monitorContentFP is set for by-fingerprint monitored requests: the
@@ -205,42 +221,34 @@ func (s *Server) prepareModelInfer(req *InferRequest, name string) (*preparedInf
 			return nil, nil, fmt.Errorf("input %d has dimension %d, network input %d", i, len(x), dim)
 		}
 	}
-	return &preparedInfer{net: net, region: sv.CN.Region(), fingerprint: sv.Version.Fingerprint()}, sv, nil
+	return &preparedInfer{inferWorkload: inferWorkload{net: net, region: sv.CN.Region()}, fingerprint: sv.Version.Fingerprint()}, sv, nil
 }
 
-// prepareInfer validates everything that can be the client's fault.
+// prepareInfer validates everything that can be the client's fault: a
+// network goes through the shared workload parser and is cross-checked
+// against any fingerprint sent with it; a fingerprint alone resolves a
+// remembered workload. Then the inputs and the monitor spec.
 func (s *Server) prepareInfer(req *InferRequest) (*preparedInfer, error) {
 	q := &preparedInfer{}
 	switch {
 	case len(req.Network) > 0:
-		net, err := vnn.UnmarshalNetwork(req.Network)
-		if err != nil {
-			return nil, err
-		}
-		region, err := req.Region.Region()
-		if err != nil {
-			return nil, err
-		}
-		q.net, q.region = net, region
-		q.compileOpts = vnn.Options{Tighten: req.Options.Tighten, Workers: req.Options.Workers}
-		fp, err := vnn.Fingerprint(net, region, q.compileOpts)
+		wl, fp, err := parseWorkload(req.Network, req.Region, req.Options)
 		if err != nil {
 			return nil, err
 		}
 		if req.Fingerprint != "" && req.Fingerprint != fp {
 			return nil, fmt.Errorf("request fingerprint %s does not match the network/region/options sent (%s)", req.Fingerprint, fp)
 		}
-		q.fingerprint = fp
 		// Remember the workload so follow-up requests may send just the
 		// fingerprint.
-		s.rememberWorkload(fp, &inferWorkload{net: net, region: region, compileOpts: q.compileOpts})
+		s.rememberWorkload(fp, wl)
+		q.inferWorkload, q.fingerprint = *wl, fp
 	case req.Fingerprint != "":
 		wl, ok := s.workloads.get(req.Fingerprint)
 		if !ok {
 			return nil, fmt.Errorf("workload %s: %w (send the full network once to prime it)", req.Fingerprint, errUnknownFingerprint)
 		}
-		q.net, q.region, q.compileOpts = wl.net, wl.region, wl.compileOpts
-		q.fingerprint = req.Fingerprint
+		q.inferWorkload, q.fingerprint = *wl, req.Fingerprint
 	default:
 		return nil, fmt.Errorf("request needs a network or a fingerprint")
 	}
@@ -260,21 +268,11 @@ func (s *Server) prepareInfer(req *InferRequest) (*preparedInfer, error) {
 		return nil, fmt.Errorf("send a monitor spec or a monitor_fingerprint, not both")
 	}
 	if req.Monitor != nil {
-		m := req.Monitor
-		if len(m.Data) == 0 {
-			return nil, fmt.Errorf("monitor needs a build dataset")
-		}
-		if len(m.Data) > maxMonitorData {
-			return nil, fmt.Errorf("monitor dataset of %d rows exceeds the %d cap", len(m.Data), maxMonitorData)
-		}
-		q.monitorOpts = vnn.MonitorOptions{Gamma: m.Gamma, Layers: m.Layers}
-		// Network-dependent monitor validation (dims, gamma, layers) is
-		// one copy of the rules: the MonitorAudit analysis owns it.
-		audit := vnn.MonitorAudit{Data: m.Data, Gamma: m.Gamma, Layers: m.Layers}
-		if err := audit.Validate(q.net); err != nil {
+		var err error
+		if q.monitorOpts, err = req.Monitor.validate(q.net); err != nil {
 			return nil, err
 		}
-		q.monitorFP = vnn.MonitorWorkloadFingerprint(q.fingerprint, m.Data, q.monitorOpts)
+		q.monitorFP = vnn.MonitorWorkloadFingerprint(q.fingerprint, req.Monitor.Data, q.monitorOpts)
 	}
 	q.monitorContentFP = req.MonitorFingerprint
 	return q, nil
@@ -399,13 +397,8 @@ func (s *Server) runInfer(ctx context.Context, sp *obs.Span, net *vnn.Network, m
 }
 
 func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
-		writeError(w, http.StatusServiceUnavailable, errDraining.Error())
-		return
-	}
 	var req InferRequest
-	if err := decodeJSON(w, r, s.cfg.MaxBodyBytes, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+	if !s.decodeRequest(w, r, &req) {
 		return
 	}
 	modelName := req.Model
@@ -421,18 +414,16 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	var err error
 	if modelName != "" {
 		q, sv, err = s.prepareModelInfer(&req, modelName)
-		if err != nil {
-			status := http.StatusBadRequest
-			if errors.Is(err, vnnregistry.ErrNotReady) || errors.Is(err, vnnregistry.ErrUnknownModel) || errors.Is(err, vnnregistry.ErrNoServing) {
-				status = registryStatus(err)
-			}
-			writeError(w, status, err.Error())
-			return
-		}
-	} else if q, err = s.prepareInfer(&req); err != nil {
+	} else {
+		q, err = s.prepareInfer(&req)
+	}
+	if err != nil {
 		status := http.StatusBadRequest
-		if errors.Is(err, errUnknownFingerprint) {
+		switch {
+		case errors.Is(err, errUnknownFingerprint):
 			status = http.StatusNotFound
+		case errors.Is(err, vnnregistry.ErrNotReady), errors.Is(err, vnnregistry.ErrUnknownModel), errors.Is(err, vnnregistry.ErrNoServing):
+			status = registryStatus(err)
 		}
 		writeError(w, status, err.Error())
 		return
@@ -562,12 +553,13 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// inferWorkload is a remembered (network, region, compile options)
-// triple, keyed by its fingerprint so by-fingerprint requests skip the
-// network upload and parse. The workload cache is a plain lru: entries
-// are cheap (a parsed network) and only ever stored after a
-// full-network request or a compile succeeded, so nothing loads through
-// it.
+// inferWorkload is one parsed (network, region, compile options)
+// triple: what every job route's request starts as (see parseWorkload),
+// and what the workload cache remembers under its fingerprint so
+// by-fingerprint infer requests skip the network upload and parse. The
+// workload cache is a plain lru: entries are cheap (a parsed network)
+// and only ever stored after a full-network request or a compile
+// succeeded, so nothing loads through it.
 type inferWorkload struct {
 	net         *vnn.Network
 	region      *vnn.Region

@@ -161,6 +161,9 @@ type jobRun struct {
 	route   string           // tenant route label
 	latency *obs.Histogram
 	timeout time.Duration // <= 0 falls back to Config.DefaultTimeout
+	// workers is the request's pinned worker count; 0 takes the
+	// scheduler's fair share (resolved once, in runJob).
+	workers int
 	// counted, when set, runs after the body and before the job turns
 	// terminal: routes bump their request counters there, after the
 	// effort counters the body bumped (the Metrics ordering guarantee).
@@ -190,7 +193,7 @@ func (s *Server) admitJob(fingerprint string, async bool) (*jobRun, error) {
 // serveJob answers an admitted job: inline for a synchronous request, or
 // 202 with accepted while the job runs on. Async jobs outlive their HTTP
 // request; only their deadline and drain bound them.
-func (s *Server) serveJob(w http.ResponseWriter, r *http.Request, jr *jobRun, accepted any, status func(error) int, body func(ctx context.Context, fairWorkers int) (any, error)) {
+func (s *Server) serveJob(w http.ResponseWriter, r *http.Request, jr *jobRun, accepted any, status func(error) int, body func(ctx context.Context, workers int) (any, error)) {
 	if !jr.async {
 		resp, err := s.runJob(r.Context(), jr, body)
 		if err != nil {
@@ -208,12 +211,14 @@ func (s *Server) serveJob(w http.ResponseWriter, r *http.Request, jr *jobRun, ac
 }
 
 // runJob is the one lifecycle of an admitted job. The deadline and
-// server drain both cancel the job's context. The "queue" span covers
-// the admission wait and ends even when admission fails. body runs under
-// the scheduler with the fair worker share, and its answer becomes the
-// job's terminal result. The trace finishes when runJob returns: it
-// covers the work, not the response write.
-func (s *Server) runJob(parent context.Context, jr *jobRun, body func(ctx context.Context, fairWorkers int) (any, error)) (any, error) {
+// server drain both cancel the job's context. The trace root records the
+// job's fingerprint, and its "queue" span covers the admission wait and
+// ends even when admission fails. body runs under the scheduler with the
+// job's worker count — the pinned one, else the fair share — which the
+// root's "workers" attribute records, and its answer becomes the job's
+// terminal result. The trace finishes when runJob returns: it covers the
+// work, not the response write.
+func (s *Server) runJob(parent context.Context, jr *jobRun, body func(ctx context.Context, workers int) (any, error)) (any, error) {
 	start := time.Now()
 	defer jr.tr.Finish()
 	defer observeSince(jr.latency, start)
@@ -223,13 +228,18 @@ func (s *Server) runJob(parent context.Context, jr *jobRun, body func(ctx contex
 	defer context.AfterFunc(s.queryCtx, cancel)() // drain interrupts the job
 
 	root := jr.tr.Root()
+	root.SetAttr("fingerprint", jr.fingerprint)
 	queueSpan := root.Child("queue")
 	var resp any
 	err := s.sched.RunAdmitted(ctx, jr.tn, func(ctx context.Context, fairWorkers int) error {
 		queueSpan.End()
-		root.SetAttr("workers", fairWorkers)
+		workers := jr.workers
+		if workers == 0 {
+			workers = fairWorkers
+		}
+		root.SetAttr("workers", workers)
 		var err error
-		resp, err = body(ctx, fairWorkers)
+		resp, err = body(ctx, workers)
 		return err
 	})
 	queueSpan.End() // no-op if body ran; ends the wait if admission failed

@@ -132,32 +132,14 @@ func (s *Server) buildMonitor(ctx context.Context, wfp string, cn *vnn.CompiledN
 	return mon, hit, err
 }
 
-// preparedSubmit is a parsed, validated model submission.
-type preparedSubmit struct {
-	sub  vnnregistry.Submission
-	gate *vnn.GateSpec
-}
-
-// prepareModelSubmit validates everything that can be the client's
-// fault: name, network, region, gate (against the network, with the
-// same per-analysis work caps as /v1/analyze) and monitor spec.
-func (s *Server) prepareModelSubmit(req *ModelSubmitRequest) (*preparedSubmit, error) {
+// prepareModelSubmit parses a submission: the model name, the shared
+// workload, then the gate (against the network, with the same
+// per-analysis work caps as /v1/analyze) and the monitor spec.
+func (s *Server) prepareModelSubmit(req *ModelSubmitRequest) (*vnnregistry.Submission, error) {
 	if !modelNameRE.MatchString(req.Model) {
 		return nil, fmt.Errorf("model name must match %s", modelNameRE)
 	}
-	if len(req.Network) == 0 {
-		return nil, fmt.Errorf("request needs a network")
-	}
-	net, err := vnn.UnmarshalNetwork(req.Network)
-	if err != nil {
-		return nil, err
-	}
-	region, err := req.Region.Region()
-	if err != nil {
-		return nil, err
-	}
-	compileOpts := vnn.Options{Tighten: req.Options.Tighten, Workers: req.Options.Workers}
-	fp, err := vnn.Fingerprint(net, region, compileOpts)
+	wl, fp, err := parseWorkload(req.Network, req.Region, req.Options)
 	if err != nil {
 		return nil, err
 	}
@@ -166,7 +148,7 @@ func (s *Server) prepareModelSubmit(req *ModelSubmitRequest) (*preparedSubmit, e
 		gate = s.cfg.DefaultGate
 	}
 	if gate != nil {
-		if err := gate.ValidateFor(net); err != nil {
+		if err := gate.ValidateFor(wl.net); err != nil {
 			return nil, err
 		}
 		for i := range gate.Analyses {
@@ -175,11 +157,11 @@ func (s *Server) prepareModelSubmit(req *ModelSubmitRequest) (*preparedSubmit, e
 			}
 		}
 	}
-	sub := vnnregistry.Submission{
+	sub := &vnnregistry.Submission{
 		Model:       req.Model,
 		NetworkJSON: req.Network,
-		Net:         net,
-		Region:      region,
+		Net:         wl.net,
+		Region:      wl.region,
 		RegionSpec:  req.Region,
 		Fingerprint: fp,
 		Tighten:     req.Options.Tighten,
@@ -187,33 +169,20 @@ func (s *Server) prepareModelSubmit(req *ModelSubmitRequest) (*preparedSubmit, e
 		Gate:        gate,
 	}
 	if m := req.Monitor; m != nil {
-		if len(m.Data) == 0 {
-			return nil, fmt.Errorf("monitor needs a build dataset")
-		}
-		if len(m.Data) > maxMonitorData {
-			return nil, fmt.Errorf("monitor dataset of %d rows exceeds the %d cap", len(m.Data), maxMonitorData)
-		}
-		audit := vnn.MonitorAudit{Data: m.Data, Gamma: m.Gamma, Layers: m.Layers}
-		if err := audit.Validate(net); err != nil {
+		if sub.MonitorOpts, err = m.validate(wl.net); err != nil {
 			return nil, err
 		}
 		sub.MonitorData = m.Data
-		sub.MonitorOpts = vnn.MonitorOptions{Gamma: m.Gamma, Layers: m.Layers}
 	}
-	return &preparedSubmit{sub: sub, gate: gate}, nil
+	return sub, nil
 }
 
 func (s *Server) handleModelSubmit(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
-		writeError(w, http.StatusServiceUnavailable, errDraining.Error())
-		return
-	}
 	var req ModelSubmitRequest
-	if err := decodeJSON(w, r, s.cfg.MaxBodyBytes, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+	if !s.decodeRequest(w, r, &req) {
 		return
 	}
-	q, err := s.prepareModelSubmit(&req)
+	sub, err := s.prepareModelSubmit(&req)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
@@ -226,12 +195,12 @@ func (s *Server) handleModelSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	// The gate defaults to asynchronous — it runs real verification
 	// workloads — but is admitted at submit time like every job.
-	jr, err := s.admitJob(q.sub.Fingerprint, req.Wait == nil || !*req.Wait)
+	jr, err := s.admitJob(sub.Fingerprint, req.Wait == nil || !*req.Wait)
 	if err != nil {
 		writeError(w, statusFor(err), err.Error())
 		return
 	}
-	v, err := s.registry.Submit(q.sub)
+	v, err := s.registry.Submit(*sub)
 	if err != nil {
 		// Undo the admission: the gate run that would release it will
 		// never start.
@@ -247,32 +216,31 @@ func (s *Server) handleModelSubmit(w http.ResponseWriter, r *http.Request) {
 	jr.tr = s.obs.rec.Start("gate", jr.id)
 	jr.tr.Root().SetAttr("model", v.Model())
 	jr.tr.Root().SetAttr("version", v.Seq())
-	jr.tr.Root().SetAttr("fingerprint", q.sub.Fingerprint)
 	jr.latency = s.obs.gateLatency
+	jr.workers = req.Options.Workers
 	jr.timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-	if jr.timeout <= 0 && q.gate != nil {
-		jr.timeout = time.Duration(q.gate.TimeoutMS) * time.Millisecond
+	if jr.timeout <= 0 && sub.Gate != nil {
+		jr.timeout = time.Duration(sub.Gate.TimeoutMS) * time.Millisecond
 	}
 	accepted := ModelSubmitResponse{ID: jr.id, ModelVersionJSON: s.registry.Doc(v)}
-	s.serveJob(w, r, jr, accepted, registryStatus, func(ctx context.Context, fairWorkers int) (any, error) {
-		return s.runModelGate(ctx, jr, v, &req, fairWorkers)
+	s.serveJob(w, r, jr, accepted, registryStatus, func(ctx context.Context, workers int) (any, error) {
+		return s.runModelGate(ctx, jr, v, &req, workers)
 	})
 }
 
 // runModelGate is the gate job's body: one version's admission gate with
-// the fair worker share and SSE progress through the job. The lifecycle
-// decision itself (admitted/rejected, persistence) belongs to the
-// registry.
-func (s *Server) runModelGate(ctx context.Context, jr *jobRun, v *vnnregistry.Version, req *ModelSubmitRequest, fairWorkers int) (*ModelSubmitResponse, error) {
-	opts := vnn.Options{Workers: req.Options.Workers, Parallel: req.Options.Parallel, MaxNodes: req.Options.MaxNodes}
-	if opts.Workers == 0 {
-		opts.Workers = fairWorkers
-	}
+// the job's worker count and SSE progress through the job. Its solver
+// effort counts in /metrics nodes and lp_pivots like any other job's.
+// The lifecycle decision itself (admitted/rejected, persistence) belongs
+// to the registry.
+func (s *Server) runModelGate(ctx context.Context, jr *jobRun, v *vnnregistry.Version, req *ModelSubmitRequest, workers int) (*ModelSubmitResponse, error) {
+	opts := vnn.Options{Workers: workers, Parallel: req.Options.Parallel, MaxNodes: req.Options.MaxNodes}
 	opts.Progress = func(ev vnn.Event) { jr.publish(ev) }
 	res, err := s.registry.RunGate(ctx, v, vnnregistry.GateRunOptions{Opts: opts, Span: jr.tr.Root()})
 	if err != nil {
 		return nil, err
 	}
+	s.countEffort(findingsEffort(res.Findings))
 	resp := &ModelSubmitResponse{ID: jr.id, ModelVersionJSON: res.Doc}
 	if len(res.Findings) > 0 {
 		rep := vnn.NewAnalysisReport(nil, res.Findings)

@@ -64,6 +64,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"math/rand/v2"
 	"net/http"
 	"net/http/pprof"
@@ -203,22 +204,11 @@ type Server struct {
 	analysisKinds map[string]int64
 }
 
-// countAnalysis bumps the per-kind analysis counters.
-func (s *Server) countAnalysis(kind string) {
-	s.analysisMu.Lock()
-	s.analysisKinds[kind]++
-	s.analysisMu.Unlock()
-}
-
 // analysisCounts snapshots the per-kind analysis counters.
 func (s *Server) analysisCounts() map[string]int64 {
 	s.analysisMu.Lock()
 	defer s.analysisMu.Unlock()
-	out := make(map[string]int64, len(s.analysisKinds))
-	for k, v := range s.analysisKinds {
-		out[k] = v
-	}
-	return out
+	return maps.Clone(s.analysisKinds)
 }
 
 // New builds a Server from cfg.
@@ -469,26 +459,49 @@ type errorResponse struct {
 	Error string `json:"error"`
 }
 
-// preparedQuery is a parsed, validated verify request.
-type preparedQuery struct {
-	net         *vnn.Network
-	region      *vnn.Region
-	props       []vnn.Property
-	fingerprint string
-	compileOpts vnn.Options
+// parseWorkload is the one parser of the network, region and options
+// every route that takes a network shares; it returns the workload and
+// its fingerprint, the compile cache key. Routes check only their own.
+func parseWorkload(network json.RawMessage, rs vnn.RegionSpec, o QueryOptions) (*inferWorkload, string, error) {
+	if len(network) == 0 {
+		return nil, "", fmt.Errorf("request needs a network")
+	}
+	net, err := vnn.UnmarshalNetwork(network)
+	if err != nil {
+		return nil, "", err
+	}
+	region, err := rs.Region()
+	if err != nil {
+		return nil, "", err
+	}
+	wl := &inferWorkload{net: net, region: region, compileOpts: vnn.Options{Tighten: o.Tighten, Workers: o.Workers}}
+	fp, err := vnn.Fingerprint(net, region, wl.compileOpts)
+	if err != nil {
+		return nil, "", err
+	}
+	return wl, fp, nil
 }
 
-// prepare parses the request into engine values and fingerprints the
-// compile workload.
-func (s *Server) prepare(req *VerifyRequest) (*preparedQuery, error) {
-	if len(req.Network) == 0 {
-		return nil, fmt.Errorf("request needs a network")
-	}
-	net, err := vnn.UnmarshalNetwork(req.Network)
-	if err != nil {
-		return nil, err
-	}
-	region, err := req.Region.Region()
+// solveJob is a prepared /v1/verify or /v1/analyze request: workload and
+// envelope for handleSolve and runSolve, plus the route's counter bump
+// (jobRun.counted), query (reporting its effort) and response.
+type solveJob struct {
+	*inferWorkload
+	fingerprint string
+	analyses    int // the root's "analyses" attribute; 0 (unset) for verify
+	opts        QueryOptions
+	timeoutMS   int
+	wait        *bool
+
+	count   func(err error)
+	query   func(ctx context.Context, cn *vnn.CompiledNetwork) (effort, error)
+	respond func(hdr VerifyResponse) any
+}
+
+// prepare parses a verify request: the shared workload, then every
+// property, validated against the network.
+func (s *Server) prepare(req *VerifyRequest) (*solveJob, error) {
+	wl, fp, err := parseWorkload(req.Network, req.Region, req.Options)
 	if err != nil {
 		return nil, err
 	}
@@ -500,40 +513,44 @@ func (s *Server) prepare(req *VerifyRequest) (*preparedQuery, error) {
 		if props[i], err = req.Properties[i].Property(); err != nil {
 			return nil, fmt.Errorf("property %d: %w", i, err)
 		}
-		if err := req.Properties[i].ValidateFor(net); err != nil {
+		if err := req.Properties[i].ValidateFor(wl.net); err != nil {
 			return nil, fmt.Errorf("property %d: %w", i, err)
 		}
 	}
-	compileOpts := vnn.Options{Tighten: req.Options.Tighten, Workers: req.Options.Workers}
-	fp, err := vnn.Fingerprint(net, region, compileOpts)
-	if err != nil {
-		return nil, err
-	}
-	return &preparedQuery{
-		net:         net,
-		region:      region,
-		props:       props,
-		fingerprint: fp,
-		compileOpts: compileOpts,
+	var results []*vnn.Result
+	return &solveJob{
+		inferWorkload: wl, fingerprint: fp,
+		opts: req.Options, timeoutMS: req.TimeoutMS, wait: req.Wait,
+		count: func(error) { s.queries.Add(1) },
+		query: func(ctx context.Context, cn *vnn.CompiledNetwork) (_ effort, err error) {
+			results, err = vnn.Verify(ctx, cn, props...)
+			return resultsEffort(results), err
+		},
+		respond: func(hdr VerifyResponse) any {
+			hdr.Report = vnn.NewReport(wl.net, results)
+			return &hdr
+		},
 	}, nil
 }
 
 func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
-		writeError(w, http.StatusServiceUnavailable, errDraining.Error())
-		return
-	}
 	var req VerifyRequest
-	if err := decodeJSON(w, r, s.cfg.MaxBodyBytes, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+	s.handleSolve(w, r, "/v1/verify", s.obs.verifyLatency, &req, func() (*solveJob, error) { return s.prepare(&req) })
+}
+
+// handleSolve is the one front end of /v1/verify and /v1/analyze: decode
+// into req, prepare (any client fault is a 400), admit, then a traced,
+// tenant-accounted job whose body is runSolve.
+func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request, route string, latency *obs.Histogram, req any, prepare func() (*solveJob, error)) {
+	if !s.decodeRequest(w, r, req) {
 		return
 	}
-	q, err := s.prepare(&req)
+	q, err := prepare()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	jr, err := s.admitJob(q.fingerprint, req.Wait != nil && !*req.Wait)
+	jr, err := s.admitJob(q.fingerprint, q.wait != nil && !*q.wait)
 	if err != nil {
 		writeError(w, statusFor(err), err.Error())
 		return
@@ -542,68 +559,93 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 	// acknowledgment) echoes also addresses /debug/traces/{id}; an
 	// inbound traceparent additionally enrolls it in the caller's
 	// distributed trace.
-	jr.tr = s.startTrace(r, "/v1/verify", jr.id)
-	jr.tr.Root().SetAttr("fingerprint", q.fingerprint)
-	jr.tn, jr.route, jr.latency = s.tenantFor(r), "/v1/verify", s.obs.verifyLatency
-	jr.timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-	// Counter write order: nodes/pivots land strictly before queries, so
-	// a /metrics snapshot that reads queries first (see Metrics) never
-	// shows a counted query whose solver effort is missing.
-	jr.counted = func(error) { s.queries.Add(1) }
+	jr.tr = s.startTrace(r, route, jr.id)
+	if q.analyses > 0 {
+		jr.tr.Root().SetAttr("analyses", q.analyses)
+	}
+	jr.tn, jr.route, jr.latency = s.tenantFor(r), route, latency
+	jr.timeout = time.Duration(q.timeoutMS) * time.Millisecond
+	jr.workers = q.opts.Workers
+	jr.counted = q.count
 	s.serveJob(w, r, jr, AcceptedResponse{ID: jr.id, Fingerprint: q.fingerprint, Status: "running"}, statusFor,
-		func(ctx context.Context, fairWorkers int) (any, error) {
-			return s.runVerify(ctx, jr, q, &req, fairWorkers)
-		})
+		func(ctx context.Context, workers int) (any, error) { return s.runSolve(ctx, jr, q, workers) })
 }
 
-// runVerify is the verify job's body. The trace's phase spans decompose
-// the request: "queue" (admission wait, see runJob), "cache" (lookup,
-// with a "compile" child on a miss), "solve" (branch-and-bound, one
-// child per property from the progress stream). The root's children
-// never overlap, so their durations sum to at most the trace's wall
-// time.
-func (s *Server) runVerify(ctx context.Context, jr *jobRun, q *preparedQuery, req *VerifyRequest, fairWorkers int) (*VerifyResponse, error) {
+// runSolve is the one job body of /v1/verify and /v1/analyze. The
+// trace's phase spans decompose the request: "queue" (admission wait,
+// see runJob), "cache" (lookup, with a "compile" child on a miss),
+// "solve" (the route's query, one child per property from the progress
+// stream, with its nodes and LP pivots). The root's children never
+// overlap, so their durations sum to at most the trace's wall time.
+func (s *Server) runSolve(ctx context.Context, jr *jobRun, q *solveJob, workers int) (any, error) {
 	root := jr.tr.Root()
 	opts := q.compileOpts
-	if opts.Workers == 0 {
-		opts.Workers = fairWorkers
-	}
+	opts.Workers = workers
 	cn, hit, err := s.compile(ctx, root, q.fingerprint, q.net, q.region, opts)
 	if err != nil {
 		return nil, err
 	}
-	qopts := opts
-	qopts.Parallel = req.Options.Parallel
-	qopts.MaxNodes = req.Options.MaxNodes
+	opts.Parallel = q.opts.Parallel
+	opts.MaxNodes = q.opts.MaxNodes
 	solveSpan := root.Child("solve")
 	ps := vnn.NewProgressSpans(solveSpan)
-	qopts.Progress = func(ev vnn.Event) {
+	opts.Progress = func(ev vnn.Event) {
 		jr.publish(ev)
 		ps.Observe(ev)
 	}
-	results, err := vnn.Verify(ctx, cn.WithOptions(qopts), q.props...)
+	e, err := q.query(ctx, cn.WithOptions(opts))
 	ps.Close()
 	if err != nil {
 		solveSpan.End()
 		return nil, err
 	}
-	var nodes, pivots int64
-	for _, res := range results {
-		nodes += int64(res.Stats.Nodes)
-		pivots += int64(res.Stats.LPPivots)
-	}
-	solveSpan.SetAttr("nodes", nodes)
-	solveSpan.SetAttr("lp_pivots", pivots)
+	solveSpan.SetAttr("nodes", e.nodes)
+	solveSpan.SetAttr("lp_pivots", e.pivots)
 	solveSpan.End()
-	s.nodes.Add(nodes)
-	s.pivots.Add(pivots)
-	return &VerifyResponse{
+	s.countEffort(e)
+	return q.respond(VerifyResponse{
 		ID:          jr.id,
 		Fingerprint: q.fingerprint,
 		CacheHit:    hit,
 		CompileMS:   float64(cn.CompileTime().Microseconds()) / 1e3,
-		Report:      vnn.NewReport(q.net, results),
-	}, nil
+	}), nil
+}
+
+// effort is the branch-and-bound work behind an answer: the nodes and LP
+// pivots the solve span reports and /metrics accumulates.
+type effort struct{ nodes, pivots int64 }
+
+// resultsEffort is the effort behind property results.
+func resultsEffort(results []*vnn.Result) (e effort) {
+	for _, res := range results {
+		e.nodes += int64(res.Stats.Nodes)
+		e.pivots += int64(res.Stats.LPPivots)
+	}
+	return e
+}
+
+// findingsEffort is the effort behind a portfolio's findings: its
+// property verifications and each quantization sweep's base and
+// per-width results.
+func findingsEffort(findings []*vnn.Finding) effort {
+	var results []*vnn.Result
+	for _, f := range findings {
+		results = append(results, f.Verification...)
+		if qs := f.QuantSweep; qs != nil {
+			results = append(results, qs.Base...)
+			for _, pt := range qs.Points {
+				results = append(results, pt.Results...)
+			}
+		}
+	}
+	return resultsEffort(results)
+}
+
+// countEffort adds e to the /metrics nodes and lp_pivots counters. Every
+// route counts effort before its request counter (see Metrics).
+func (s *Server) countEffort(e effort) {
+	s.nodes.Add(e.nodes)
+	s.pivots.Add(e.pivots)
 }
 
 // compile is every request's path to a compiled network: the shared
@@ -779,21 +821,11 @@ func (s *Server) streamJob(w http.ResponseWriter, r *http.Request, jb *job) {
 }
 
 func (s *Server) handleFalsify(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
-		writeError(w, http.StatusServiceUnavailable, errDraining.Error())
-		return
-	}
 	var req FalsifyRequest
-	if err := decodeJSON(w, r, s.cfg.MaxBodyBytes, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+	if !s.decodeRequest(w, r, &req) {
 		return
 	}
-	net, err := vnn.UnmarshalNetwork(req.Network)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	region, err := req.Region.Region()
+	wl, fp, err := parseWorkload(req.Network, req.Region, QueryOptions{})
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
@@ -805,21 +837,25 @@ func (s *Server) handleFalsify(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("restarts must be in [0, %d] and steps in [0, %d]", maxFalsifyRestarts, maxFalsifySteps))
 		return
 	}
+	if len(req.Outputs) == 0 {
+		writeError(w, http.StatusBadRequest, "request needs at least one output index")
+		return
+	}
 	for _, o := range req.Outputs {
-		if o < 0 || o >= net.OutputDim() {
+		if o < 0 || o >= wl.net.OutputDim() {
 			writeError(w, http.StatusBadRequest,
-				fmt.Sprintf("output %d of %d", o, net.OutputDim()))
+				fmt.Sprintf("output %d of %d", o, wl.net.OutputDim()))
 			return
 		}
 	}
 
 	qctx, cancel := context.WithCancel(r.Context())
 	defer cancel()
-	stop := context.AfterFunc(s.queryCtx, cancel)
-	defer stop()
+	defer context.AfterFunc(s.queryCtx, cancel)() // drain interrupts the attack
 
 	start := time.Now()
 	tr := s.startTrace(r, "/v1/falsify", "")
+	tr.Root().SetAttr("fingerprint", fp)
 	tn := s.tenantFor(r)
 	defer observeSince(s.obs.falsifyLatency, start)
 	defer func() { tn.Route("/v1/falsify").Count(time.Since(start)) }()
@@ -830,7 +866,7 @@ func (s *Server) handleFalsify(w http.ResponseWriter, r *http.Request) {
 		queueSpan.End()
 		runSpan := tr.Root().Child("falsify")
 		defer runSpan.End()
-		fr, err := vnn.FalsifyCtx(ctx, net, region, req.Outputs, vnn.FalsifyOptions{
+		fr, err := vnn.FalsifyCtx(ctx, wl.net, wl.region, req.Outputs, vnn.FalsifyOptions{
 			Restarts: req.Restarts,
 			Steps:    req.Steps,
 			Seed:     req.Seed,
@@ -898,6 +934,21 @@ func statusFor(err error) int {
 	default:
 		return http.StatusInternalServerError
 	}
+}
+
+// decodeRequest is the prologue of every route that starts work: 503
+// once the server drains, else the body strictly decoded into v (400 if
+// malformed). It reports whether the handler goes on.
+func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request, v any) bool {
+	if s.draining.Load() {
+		writeError(w, http.StatusServiceUnavailable, errDraining.Error())
+		return false
+	}
+	if err := decodeJSON(w, r, s.cfg.MaxBodyBytes, v); err != nil {
+		writeError(w, http.StatusBadRequest, err.Error())
+		return false
+	}
+	return true
 }
 
 // decodeJSON strictly decodes a bounded request body into v.
