@@ -135,7 +135,9 @@ func (m *Model) AddConstraint(terms []Term, sense Sense, rhs float64, name strin
 		}
 		merged[t.Var] += t.Coeff
 	}
-	row := Constraint{Sense: sense, RHS: rhs, Name: name}
+	// Exact capacity: models are long-lived (compiled workloads are cached),
+	// so append's doubling slack would be retained with every row.
+	row := Constraint{Terms: make([]Term, 0, len(merged)), Sense: sense, RHS: rhs, Name: name}
 	for v, c := range merged {
 		if c != 0 {
 			row.Terms = append(row.Terms, Term{Var: v, Coeff: c})

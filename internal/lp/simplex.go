@@ -42,6 +42,9 @@ type Solution struct {
 	Objective  float64   // objective value in the model's own direction
 	X          []float64 // one value per model variable (valid when Optimal)
 	Iterations int       // total simplex pivots across both phases
+	// Cold reports that the answer came from a full two-phase solve on
+	// pristine data rather than from the warm path's saved basis.
+	Cold bool
 }
 
 // Options tune the solver. The zero value selects sensible defaults.
@@ -335,6 +338,7 @@ func (tb *tableau) pivot(r, j int, xj float64) {
 	}
 	row[j] = 1
 	tb.rhsInv[r] *= inv
+	src := row[:tb.width]
 	for i := 0; i < tb.m; i++ {
 		if i == r {
 			continue
@@ -344,21 +348,37 @@ func (tb *tableau) pivot(r, j int, xj float64) {
 			continue
 		}
 		ti := tb.t[i]
-		for k := 0; k < tb.width; k++ {
-			ti[k] -= f * row[k]
-		}
+		subScaled(ti[:tb.width], src, f)
 		ti[j] = 0
 		tb.rhsInv[i] -= f * tb.rhsInv[r]
 	}
 	if f := tb.d[j]; f != 0 {
-		for k := 0; k < tb.width; k++ {
-			tb.d[k] -= f * row[k]
-		}
+		subScaled(tb.d[:tb.width], src, f)
 	}
 	tb.d[j] = 0
 	tb.basis[r] = j
 	tb.status[j] = basic
 	tb.x[j] = xj
+}
+
+// subScaled does dst[k] -= f*src[k] for every k < len(dst); src must be at
+// least as long. It is the pivot's inner loop, unrolled by four in a form
+// the compiler proves in bounds, so the unrolled body has no bounds
+// checks. Each element sees the same multiply and subtract as the plain
+// loop (no fused multiply-add), so results are bit-identical to it.
+func subScaled(dst, src []float64, f float64) {
+	src = src[:len(dst)]
+	for len(dst) >= 4 && len(src) >= 4 {
+		d, s := dst[:4:4], src[:4:4]
+		d[0] -= f * s[0]
+		d[1] -= f * s[1]
+		d[2] -= f * s[2]
+		d[3] -= f * s[3]
+		dst, src = dst[4:], src[4:]
+	}
+	for k := range dst {
+		dst[k] -= f * src[k]
+	}
 }
 
 // computeBasics recomputes every basic variable's value from the invariant
@@ -442,44 +462,19 @@ func (tb *tableau) dualFeasible() bool {
 	return true
 }
 
-// rowProvesInfeasible checks whether row r certifies primal infeasibility
-// directly from tableau data: the basic variable's extreme achievable value
-// over the nonbasic box still violates its bound.
-func (tb *tableau) rowProvesInfeasible(r int) bool {
-	bi := tb.basis[r]
-	row := tb.t[r]
-	// x_bi = rhsInv[r] − Σ α_j x_j; maximize and minimize over the box.
-	maxV, minV := tb.rhsInv[r], tb.rhsInv[r]
-	for j := 0; j < tb.width; j++ {
-		if tb.status[j] == basic {
-			continue
-		}
-		a := row[j]
-		if a == 0 {
-			continue
-		}
-		lo, hi := tb.lower[j], tb.upper[j]
-		if math.IsInf(lo, -1) || math.IsInf(hi, 1) {
-			return false // unbounded box direction: no certificate here
-		}
-		if a > 0 {
-			maxV -= a * lo
-			minV -= a * hi
-		} else {
-			maxV -= a * hi
-			minV -= a * lo
-		}
-	}
-	slack := tb.tol * (1 + math.Abs(tb.lower[bi]) + math.Abs(tb.upper[bi]))
-	return maxV < tb.lower[bi]-slack || minV > tb.upper[bi]+slack
-}
-
 // dualIterate runs bounded-variable dual simplex pivots until the basis is
-// primal feasible (→ Optimal), certified primal infeasible (→ Infeasible),
-// or the pivot budget runs out. It requires (near-)dual-feasible reduced
-// costs on entry; the caller re-polishes with primal pivots, so mild sign
-// drift costs extra primal work, never correctness. ok=false means the
-// pass could not conclude and the caller must go cold.
+// primal feasible (→ Optimal) or the pivot budget runs out. It requires
+// (near-)dual-feasible reduced costs on entry; the caller re-polishes with
+// primal pivots, so mild sign drift costs extra primal work, never
+// correctness. A row whose basic variable no column may move toward its
+// bound is a dual dead end: dualIterate returns Infeasible with that row
+// in dead, and the verdict is the caller's to certify from pristine data
+// (Solver.certifiesInfeasible) — the tableau row only proposes it.
+// ok=false means the pass stalled and the caller must go cold.
+//
+// A row counts as resolved once its basic variable is within
+// tol·(1+|bound|) of the bound, the threshold mostInfeasibleRow selects
+// rows by; bound flips rarely land on it exactly.
 //
 // The ratio test is the long-step variant: a min-ratio column whose own
 // bound range cannot absorb the leaving variable's residual is flipped to
@@ -487,18 +482,18 @@ func (tb *tableau) rowProvesInfeasible(r int) bool {
 // and the scan continues with the next candidate. Without flips, big-M
 // verification LPs (full of boxed indicator columns with narrow ranges)
 // degenerate into long chains of full pivots.
-func (tb *tableau) dualIterate() (st Status, ok bool) {
+func (tb *tableau) dualIterate() (st Status, dead int, ok bool) {
 	budget := 6*tb.m + 100 // dual steps, not counting flips
 	for steps := 0; ; steps++ {
 		if tb.iters >= tb.maxIters || tb.cancelled() {
-			return IterationLimit, true
+			return IterationLimit, -1, true
 		}
 		if steps > budget {
-			return 0, false // stalling; let the cold path decide
+			return 0, -1, false // stalling; let the cold path decide
 		}
 		r := tb.mostInfeasibleRow()
 		if r < 0 {
-			return Optimal, true
+			return Optimal, -1, true
 		}
 		bi := tb.basis[r]
 		below := tb.x[bi] < tb.lower[bi]
@@ -513,8 +508,8 @@ func (tb *tableau) dualIterate() (st Status, ok bool) {
 
 		// Resolve row r: flip boxed min-ratio columns that cannot absorb
 		// the residual, enter the first one that can.
-		entered := false
-		for tb.x[bi] != target {
+		slack := tb.tol * (1 + math.Abs(target))
+		for math.Abs(target-tb.x[bi]) > slack {
 			deltaB := target - tb.x[bi] // >0 when below, <0 when above
 
 			// Dual ratio test: entering column must let x_bi move toward
@@ -547,12 +542,9 @@ func (tb *tableau) dualIterate() (st Status, ok bool) {
 				}
 			}
 			if best < 0 {
-				// No admissible entering column: either a genuine
-				// infeasibility certificate or a numerical dead end.
-				if tb.rowProvesInfeasible(r) {
-					return Infeasible, true
-				}
-				return 0, false
+				// No admissible entering column: a genuine infeasibility
+				// or a numerical dead end; the caller tells them apart.
+				return Infeasible, r, true
 			}
 
 			deltaJ := deltaB / -row[best]
@@ -587,12 +579,9 @@ func (tb *tableau) dualIterate() (st Status, ok bool) {
 			tb.x[bi] = target
 			tb.pivot(r, best, newXj)
 			tb.iters++
-			entered = true
 			break
 		}
-		if !entered && tb.x[bi] == target {
-			// Flips alone made the row feasible; the basic variable stays.
-			continue
-		}
+		// Either a pivot resolved row r or flips alone brought its basic
+		// variable within tolerance of the bound; pick the next row.
 	}
 }

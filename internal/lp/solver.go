@@ -33,8 +33,10 @@ const (
 //   - bound changes under an unchanged objective leave the basis dual
 //     feasible, so dual simplex pivots restore primal feasibility without
 //     a phase-1 restart (the branch-and-bound access pattern, where
-//     children differ by one binary bound fix); an infeasibility signal
-//     from the dual pass is always re-confirmed by a cold phase 1;
+//     children differ by one binary bound fix); when the dual pass dead-
+//     ends on a row, that row of B⁻¹ is tried as a Farkas multiplier on
+//     the model's own rows and bounds, and only a certificate that holds
+//     on that pristine data answers Infeasible warm;
 //   - anything the warm path cannot certify degrades to a cold solve; the
 //     warm machinery can cost time, never correctness.
 //
@@ -50,6 +52,8 @@ type Solver struct {
 	origRHS []float64
 	slackLo []float64
 	slackHi []float64
+	farkasY []float64 // per-row multipliers for certifiesInfeasible
+	farkasA []float64 // per-variable yᵀA for certifiesInfeasible
 
 	hasBasis       bool // tableau holds a consistent phase-2 state
 	dirty          bool // working tableau differs from the pristine copy
@@ -101,6 +105,8 @@ func (s *Solver) rebuild() {
 	s.origRHS = make([]float64, rows)
 	s.slackLo = make([]float64, rows)
 	s.slackHi = make([]float64, rows)
+	s.farkasY = make([]float64, rows)
+	s.farkasA = make([]float64, nStruct)
 	for i, c := range m.cons {
 		switch c.Sense {
 		case LE:
@@ -308,10 +314,10 @@ func (s *Solver) coldSolve() (*Solution, error) {
 		tb.refreshReducedCosts()
 		st := tb.iterate()
 		if st == IterationLimit {
-			return &Solution{Status: IterationLimit, Iterations: tb.iters}, nil
+			return &Solution{Status: IterationLimit, Iterations: tb.iters, Cold: true}, nil
 		}
 		if tb.phase1Objective() > 10*tb.tol {
-			return &Solution{Status: Infeasible, Iterations: tb.iters}, nil
+			return &Solution{Status: Infeasible, Iterations: tb.iters, Cold: true}, nil
 		}
 	}
 	tb.retireArtificials()
@@ -323,14 +329,18 @@ func (s *Solver) coldSolve() (*Solution, error) {
 	st := tb.iterate()
 	s.hasBasis = true
 	s.pivotsSinceRef = tb.iters
-	return s.finishSolution(st), nil
+	sol := s.finishSolution(st)
+	sol.Cold = true
+	return sol, nil
 }
 
 // warmSolve re-solves from a live or seeded basis: refresh bounds and
 // costs, restore primal feasibility if a bound change broke it (dual
 // simplex when the reduced costs allow, heuristic bound repair otherwise),
-// then run phase 2 only. Returns ok=false when the warm path cannot
-// certify a trustworthy answer; the caller then solves cold.
+// then run phase 2 only. A dual dead end answers Infeasible only when
+// certifiesInfeasible confirms it on the model's own data; the live basis
+// is kept either way. Returns ok=false when the warm path cannot certify a
+// trustworthy answer; the caller then solves cold.
 func (s *Solver) warmSolve(from *Basis) (*Solution, bool) {
 	tb := s.tb
 	m := s.model
@@ -410,12 +420,14 @@ func (s *Solver) warmSolve(from *Basis) (*Solution, bool) {
 		// feasibility directly. Otherwise fall back to the heuristic bound
 		// repair.
 		if tb.dualFeasible() {
-			st, ok := tb.dualIterate()
-			if !ok || st == Infeasible || st == IterationLimit {
-				// The dual infeasibility certificate reads drift-prone
-				// tableau data, so it is treated as "probably infeasible"
-				// only: the cold path re-derives the verdict from pristine
-				// data. Warm answers may cost time, never correctness.
+			st, dead, ok := tb.dualIterate()
+			if ok && st == Infeasible && s.certifiesInfeasible(s.rowMultipliers(dead)) {
+				s.pivotsSinceRef += tb.iters - installIters
+				return &Solution{Status: Infeasible, Iterations: tb.iters}, true
+			}
+			if !ok || st != Optimal {
+				// A dead end the model's data does not confirm, a stall,
+				// or a spent budget: the cold path decides.
 				return nil, false
 			}
 		} else if !s.repairBasis() {
@@ -566,3 +578,85 @@ func (s *Solver) repairBasis() bool {
 	return tb.firstInfeasibleRow() < 0
 }
 
+// rowMultipliers returns tableau row r restricted to the slack columns —
+// row r of B⁻¹, since the slacks start as the identity — for use as the
+// multipliers y of certifiesInfeasible. Entries under |y_i| < pivotTol,
+// and those of slacks basic in other rows (zero in exact arithmetic), are
+// drift and are set to zero. The slice is the solver's scratch buffer.
+func (s *Solver) rowMultipliers(r int) []float64 {
+	tb := s.tb
+	row := tb.t[r]
+	y := s.farkasY
+	for i := range y {
+		c := tb.nStruct + i
+		v := row[c]
+		if math.Abs(v) < pivotTol || (tb.status[c] == basic && tb.basis[r] != c) {
+			v = 0
+		}
+		y[i] = v
+	}
+	return y
+}
+
+// certifiesInfeasible reports whether the multipliers y (one per row) prove
+// that no point satisfies the model under its current bounds. Every
+// feasible point has Ax + s = b with x and the slacks s inside their
+// bounds, so yᵀb must lie in the range of αᵀx + yᵀs over those bounds,
+// where α = yᵀA. The check forms α, yᵀb and that range from the model's
+// rows, variable bounds and slack bounds alone, and certifies only when
+// yᵀb falls outside the range by more than 1e-9·(1 + Σ|terms|), where the
+// terms are every |y_i·b_i| and |y_i·a_ij|·|x_j|'s finite bound — far
+// beyond the rounding of the sums themselves. No tableau value enters the
+// verdict: y only chooses the combination, so a drifted or wrong y can
+// fail to certify but can never certify a feasible model (Neumaier &
+// Shcherbina, "Safe bounds in linear and mixed-integer linear
+// programming", Math. Prog. 2004).
+func (s *Solver) certifiesInfeasible(y []float64) bool {
+	alpha := s.farkasA
+	for j := range alpha {
+		alpha[j] = 0
+	}
+	var yb, minV, maxV, scale float64
+	for i, c := range s.model.cons {
+		yi := y[i]
+		if yi == 0 {
+			continue
+		}
+		yb += yi * c.RHS
+		scale += math.Abs(yi * c.RHS)
+		for _, t := range c.Terms {
+			alpha[t.Var] += yi * t.Coeff
+			v := s.model.vars[t.Var]
+			scale += math.Abs(yi*t.Coeff) * math.Max(finiteAbs(v.Lower), finiteAbs(v.Upper))
+		}
+		// The slack term y_i·s_i over [slackLo_i, slackHi_i].
+		lo, hi := yi*s.slackLo[i], yi*s.slackHi[i]
+		if yi < 0 {
+			lo, hi = hi, lo
+		}
+		minV += lo
+		maxV += hi
+	}
+	for j, a := range alpha {
+		if a == 0 {
+			continue
+		}
+		v := s.model.vars[j]
+		lo, hi := a*v.Lower, a*v.Upper
+		if a < 0 {
+			lo, hi = hi, lo
+		}
+		minV += lo
+		maxV += hi
+	}
+	margin := 1e-9 * (1 + scale)
+	return yb > maxV+margin || yb < minV-margin
+}
+
+// finiteAbs returns |v| for finite v and 0 for ±Inf.
+func finiteAbs(v float64) float64 {
+	if math.IsInf(v, 0) {
+		return 0
+	}
+	return math.Abs(v)
+}

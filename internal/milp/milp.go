@@ -148,6 +148,7 @@ type Result struct {
 	HasSolution bool
 	Nodes       int           // branch-and-bound nodes explored
 	LPPivots    int           // total simplex iterations across all nodes
+	ColdSolves  int           // node relaxations answered by a cold two-phase solve
 	Elapsed     time.Duration // wall-clock solve time
 }
 
@@ -463,6 +464,9 @@ func SolveCtx(ctx context.Context, p Problem, opts Options) (*Result, error) {
 			sol := r.sol
 			res.Nodes++
 			res.LPPivots += sol.Iterations
+			if sol.Cold {
+				res.ColdSolves++
+			}
 
 			switch sol.Status {
 			case lp.Infeasible:

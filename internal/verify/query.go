@@ -85,6 +85,7 @@ type Stats struct {
 	Elapsed       time.Duration
 	Nodes         int
 	LPPivots      int
+	ColdSolves    int // node LPs answered by a cold two-phase solve
 	Binaries      int // unstable neurons that required an indicator
 	StableNeurons int // neurons encoded linearly thanks to interval bounds
 	HiddenNeurons int
@@ -256,6 +257,7 @@ func (e *encoding) stats(res *milp.Result, start time.Time) Stats {
 		Elapsed:       time.Since(start),
 		Nodes:         res.Nodes,
 		LPPivots:      res.LPPivots,
+		ColdSolves:    res.ColdSolves,
 		Binaries:      len(e.binaries),
 		StableNeurons: stable,
 		HiddenNeurons: total,
