@@ -54,8 +54,8 @@ const benchDepth = 2
 
 type benchState struct {
 	data   []train.Sample
-	preds  map[int]*core.Predictor // by width, plain MDN training
-	hinted *core.Predictor
+	preds  map[int]*vnn.Predictor // by width, plain MDN training
+	hinted *vnn.Predictor
 }
 
 var (
@@ -78,21 +78,21 @@ func setup(b *testing.B) *benchState {
 		}
 		clean, _ := dataval.Sanitize(data, core.SafetyRules(1e-9))
 		state.data = clean
-		state.preds = map[int]*core.Predictor{}
+		state.preds = map[int]*vnn.Predictor{}
 		for _, w := range benchWidths {
 			state.preds[w] = trainPredictor(clean, w)
 		}
 		// Hinted variant: the same plain network fine-tuned under the
 		// property (penalty + region samples + counterexample rounds).
-		state.hinted = &core.Predictor{Net: state.preds[benchWidths[0]].Net.Clone(), K: 2}
-		if err := core.HintFineTune(state.hinted, clean, core.HintConfig{Seed: 4242}); err != nil {
+		state.hinted = &vnn.Predictor{Net: state.preds[benchWidths[0]].Net.Clone(), K: 2}
+		if err := vnn.HintFineTune(state.hinted, clean, vnn.HintConfig{Seed: 4242}); err != nil {
 			panic(err)
 		}
 	})
 	return &state
 }
 
-func trainPredictor(data []train.Sample, width int) *core.Predictor {
+func trainPredictor(data []train.Sample, width int) *vnn.Predictor {
 	pred := core.NewPredictorNet(benchDepth, width, 2, int64(width)*31+7)
 	tr := &train.Trainer{
 		Net: pred.Net, Loss: train.MDN{K: 2}, Opt: train.NewAdam(0.003),
@@ -244,7 +244,7 @@ func BenchmarkQuantVerify(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	qpred := &core.Predictor{Net: qnet, K: pred.K}
+	qpred := &vnn.Predictor{Net: qnet, K: pred.K}
 	b.Run("float64", func(b *testing.B) {
 		ctx := benchCtx(b)
 		for i := 0; i < b.N; i++ {
@@ -273,7 +273,7 @@ func BenchmarkQuantVerify(b *testing.B) {
 // verified maximum should be no larger.
 func BenchmarkHintsAblation(b *testing.B) {
 	st := setup(b)
-	run := func(b *testing.B, pred *core.Predictor) float64 {
+	run := func(b *testing.B, pred *vnn.Predictor) float64 {
 		var v float64
 		ctx := benchCtx(b)
 		for i := 0; i < b.N; i++ {
@@ -356,7 +356,7 @@ func BenchmarkBigMAblation(b *testing.B) {
 func BenchmarkAttackVsVerify(b *testing.B) {
 	st := setup(b)
 	pred := st.preds[benchWidths[1]]
-	region := core.LeftOccupiedRegion()
+	region := vnn.LeftOccupiedRegion()
 	out := pred.MuLatOutputs()[0]
 	b.Run("pgd-attack", func(b *testing.B) {
 		var v float64
@@ -372,7 +372,12 @@ func BenchmarkAttackVsVerify(b *testing.B) {
 	b.Run("milp-verify", func(b *testing.B) {
 		var v float64
 		for i := 0; i < b.N; i++ {
-			res, err := verify.MaxOutput(pred.Net, region, out, verify.Options{TimeLimit: 10 * time.Minute})
+			ctx := benchCtx(b)
+			c, err := verify.Compile(ctx, pred.Net, region, verify.Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			res, err := c.MaxLinear(ctx, map[int]float64{out: 1}, verify.Options{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -387,7 +392,7 @@ func BenchmarkAttackVsVerify(b *testing.B) {
 func BenchmarkResilience(b *testing.B) {
 	st := setup(b)
 	pred := st.preds[benchWidths[0]]
-	region := core.LeftOccupiedRegion()
+	region := vnn.LeftOccupiedRegion()
 	x0 := make([]float64, pred.Net.InputDim())
 	for i, iv := range region.Box {
 		x0[i] = (iv.Lo + iv.Hi) / 2
@@ -396,9 +401,8 @@ func BenchmarkResilience(b *testing.B) {
 	thr := pred.Net.Forward(x0)[out] + 1
 	var eps float64
 	for i := 0; i < b.N; i++ {
-		res, err := verify.Resilience(pred.Net, x0, region.Box, out, thr, verify.ResilienceOptions{
+		res, err := verify.Resilience(benchCtx(b), pred.Net, x0, region.Box, out, thr, verify.ResilienceOptions{
 			MaxIterations: 6,
-			Query:         verify.Options{TimeLimit: 10 * time.Minute},
 		})
 		if err != nil {
 			b.Fatal(err)

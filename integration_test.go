@@ -65,7 +65,7 @@ func TestEndToEndCaseStudy(t *testing.T) {
 	}
 
 	// 4. Attack lower bound vs verified maximum.
-	region := core.LeftOccupiedRegion()
+	region := vnn.LeftOccupiedRegion()
 	atkBest := math.Inf(-1)
 	rng := rand.New(rand.NewSource(5))
 	for _, out := range pred.MuLatOutputs() {
@@ -104,7 +104,7 @@ func TestEndToEndCaseStudy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	qpred := &core.Predictor{Net: qnet, K: pred.K}
+	qpred := &vnn.Predictor{Net: qnet, K: pred.K}
 	qver, err := qpred.VerifySafety(itCtx(t, 5*time.Minute), vnn.Options{Parallel: true})
 	if err != nil {
 		t.Fatal(err)
@@ -126,7 +126,7 @@ func TestSerializationAcrossPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pred2 := &core.Predictor{Net: back, K: back.OutputDim() / gmm.RawPerComponent}
+	pred2 := &vnn.Predictor{Net: back, K: back.OutputDim() / gmm.RawPerComponent}
 	a, err := pred.VerifySafety(context.Background(), vnn.Options{})
 	if err != nil {
 		t.Fatal(err)

@@ -7,55 +7,23 @@
 // lateral velocity".
 //
 // The predictor itself — construction, decoding, safety queries, hints
-// fine-tuning, safety rules — is public API now (pkg/vnn, where the
-// examples use it without internal imports); this package keeps thin
-// aliases for its internal callers and owns the end-to-end certification
-// pipeline (RunPipeline).
+// fine-tuning, safety rules — is public API in pkg/vnn; this package owns
+// the end-to-end certification pipeline (RunPipeline).
 package core
 
-import (
-	"math/rand"
-
-	"repro/pkg/vnn"
-)
+import "repro/pkg/vnn"
 
 // DefaultComponents is the number of mixture components in the predictor's
 // Gaussian-mixture head.
 const DefaultComponents = 3
 
-// Predictor wraps a trained network with its mixture-head decoding; it is
-// the public vnn.Predictor.
-type Predictor = vnn.Predictor
-
-// HintConfig tunes HintFineTune; it is the public vnn.HintConfig.
-type HintConfig = vnn.HintConfig
-
 // NewPredictorNet constructs an untrained predictor network in the paper's
-// I<depth>×<width> family (see vnn.NewPredictor).
-func NewPredictorNet(depth, width, k int, seed int64) *Predictor {
+// I<depth>×<width> family (see vnn.NewPredictor). It and SafetyRules stay
+// here because the end-to-end benchmark (vnnbench/setup.go) imports them.
+func NewPredictorNet(depth, width, k int, seed int64) *vnn.Predictor {
 	return vnn.NewPredictor(depth, width, k, seed)
 }
-
-// LeftOccupiedRegion is the input region of the paper's safety property;
-// it lives in pkg/vnn together with the rest of the query surface.
-func LeftOccupiedRegion() *vnn.Region { return vnn.LeftOccupiedRegion() }
 
 // SafetyRules returns the data-validation rules of the case study (see
 // vnn.SafetyRules).
 func SafetyRules(latTol float64) []vnn.DataRule { return vnn.SafetyRules(latTol) }
-
-// HintAugment manufactures property-derived training samples (see
-// vnn.HintAugment).
-func HintAugment(n int, rng *rand.Rand) []vnn.Sample { return vnn.HintAugment(n, rng) }
-
-// HintFineTune fine-tunes a trained predictor under the known safety
-// property (see vnn.HintFineTune).
-func HintFineTune(pred *Predictor, data []vnn.Sample, cfg HintConfig) error {
-	return vnn.HintFineTune(pred, data, cfg)
-}
-
-// AdversarialHintRounds runs counterexample-guided hint training rounds
-// (see vnn.AdversarialHintRounds).
-func AdversarialHintRounds(pred *Predictor, trainer *vnn.Trainer, data []vnn.Sample, rounds, epochsPerRound, samplesPerRound int, rng *rand.Rand) ([]vnn.Sample, error) {
-	return vnn.AdversarialHintRounds(pred, trainer, data, rounds, epochsPerRound, samplesPerRound, rng)
-}

@@ -88,7 +88,7 @@ type PipelineResult struct {
 	// the machine-readable document the vnnd service also speaks.
 	Findings []*vnn.Finding
 
-	Predictor *Predictor
+	Predictor *vnn.Predictor
 	Elapsed   time.Duration
 }
 
@@ -184,8 +184,8 @@ func RunPipeline(ctx context.Context, cfg PipelineConfig) (*PipelineResult, erro
 	if cfg.Hints {
 		// Future-work item (iii): fine-tune the trained network under the
 		// known property — penalty loss, property-derived samples, and
-		// counterexample-guided rounds (see HintFineTune).
-		if err := HintFineTune(pred, trainSet, HintConfig{
+		// counterexample-guided rounds (see vnn.HintFineTune).
+		if err := vnn.HintFineTune(pred, trainSet, vnn.HintConfig{
 			Threshold: cfg.HintThreshold,
 			Seed:      cfg.Seed + 3,
 		}); err != nil {
@@ -214,7 +214,7 @@ func RunPipeline(ctx context.Context, cfg PipelineConfig) (*PipelineResult, erro
 		cctx, cancel = context.WithTimeout(ctx, cfg.VerifyTimeout)
 		defer cancel()
 	}
-	cn, err := vnn.Compile(cctx, pred.Net, LeftOccupiedRegion(), cfg.Verify)
+	cn, err := vnn.Compile(cctx, pred.Net, vnn.LeftOccupiedRegion(), cfg.Verify)
 	if err != nil {
 		return nil, fmt.Errorf("core: compile: %w", err)
 	}

@@ -36,22 +36,13 @@ import (
 	"repro/internal/lp"
 )
 
-// Process-wide instrumentation: branch-and-bound solves performed and
-// wall time spent inside them. Like verify's EncodePasses/TightenPasses
-// these let the serving layer's observability plane attribute request
-// time to the solve phase without this package knowing about spans.
-var (
-	solveCount atomic.Int64
-	solveNanos atomic.Int64
-)
+// solveCount counts branch-and-bound solves process-wide; like verify's
+// EncodePasses/TightenPasses it feeds the serving layer's /metrics.
+var solveCount atomic.Int64
 
 // Solves returns the total number of branch-and-bound solves this
 // process has run (including interrupted ones).
 func Solves() int64 { return solveCount.Load() }
-
-// SolveNanos returns the cumulative wall nanoseconds spent inside
-// SolveCtx across the process.
-func SolveNanos() int64 { return solveNanos.Load() }
 
 // Status reports the outcome of a MILP solve.
 type Status int
@@ -269,7 +260,6 @@ func ctxStatus(err error) Status {
 func SolveCtx(ctx context.Context, p Problem, opts Options) (*Result, error) {
 	start := time.Now()
 	solveCount.Add(1)
-	defer func() { solveNanos.Add(int64(time.Since(start))) }()
 	intTol := opts.IntTol
 	if intTol <= 0 {
 		intTol = 1e-6

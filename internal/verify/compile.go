@@ -19,17 +19,10 @@ import (
 // bound-tightening pass bumps one of these. They exist so tests (and the
 // public pkg/vnn API) can assert that a compiled network is actually
 // reused — running several queries against one Compiled must not re-encode
-// or re-tighten.
+// or re-tighten. The effort of one compilation is on Compiled.Stats.
 var (
 	encodePasses  atomic.Int64
 	tightenPasses atomic.Int64
-	// encodeNanos/tightenNanos accumulate the wall time spent inside
-	// those passes. The observability plane (internal/obs via
-	// pkg/vnnserver) reads deltas around a compile to attribute its cost
-	// to the tighten vs encode phase without this package knowing about
-	// spans.
-	encodeNanos  atomic.Int64
-	tightenNanos atomic.Int64
 )
 
 // EncodePasses returns the total number of MILP encoding passes performed
@@ -40,14 +33,20 @@ func EncodePasses() int64 { return encodePasses.Load() }
 // performed by this process.
 func TightenPasses() int64 { return tightenPasses.Load() }
 
-// EncodeNanos returns the cumulative wall nanoseconds this process spent
-// in MILP encoding passes.
-func EncodeNanos() int64 { return encodeNanos.Load() }
-
-// TightenNanos returns the cumulative wall nanoseconds this process
-// spent in LP bound-tightening passes (including the prefix encodings
-// tightening performs internally, which also count toward EncodeNanos).
-func TightenNanos() int64 { return tightenNanos.Load() }
+// CompileStats is the effort of one compilation, recorded as it runs.
+// The tightening and final-encoding phases are disjoint parts of
+// CompileTime.
+type CompileStats struct {
+	// Tighten is the wall time of LP bound tightening; TightenPasses is 1
+	// when it ran (Options.Tighten), else 0.
+	Tighten       time.Duration
+	TightenPasses int
+	// Encode is the wall time of the final MILP encoding. EncodePasses
+	// counts every encoding pass of this compile, the prefix encodings
+	// inside tightening included, as EncodePasses does process-wide.
+	Encode       time.Duration
+	EncodePasses int
+}
 
 // Compiled is a network fixed to one input region whose bound analysis
 // (interval propagation plus optional LP tightening) and MILP encoding
@@ -65,31 +64,22 @@ type Compiled struct {
 	CompileTime time.Duration
 	// Tightened records whether LP bound tightening ran during compilation.
 	Tightened bool
+	// Stats splits this compilation's effort into tightening and encoding.
+	Stats CompileStats
 }
 
 // Compile performs the one-time preprocessing for net over region: interval
 // bound propagation, optional LP tightening (opts.Tighten, fanned across
-// opts.Workers and bounded by ctx — see TightenLPCtx), and the MILP
+// opts.Workers and bounded by ctx — see TightenLP), and the MILP
 // encoding. The ctx deadline covers the whole compilation; tightening
 // stops early (soundly) when the budget runs out.
 func Compile(ctx context.Context, net *nn.Network, region *InputRegion, opts Options) (*Compiled, error) {
 	start := time.Now()
-	nb, err := prepareBounds(ctx, net, region, opts)
+	nb, st, err := prepareBounds(ctx, net, region, opts)
 	if err != nil {
 		return nil, err
 	}
-	enc, err := encode(net, region, nb, encodeOptions{prefixLayers: -1})
-	if err != nil {
-		return nil, err
-	}
-	return &Compiled{
-		net:         net,
-		region:      region,
-		nb:          nb,
-		enc:         enc,
-		CompileTime: time.Since(start),
-		Tightened:   opts.Tighten,
-	}, nil
+	return compileWithBounds(start, net, region, nb, opts.Tighten, st)
 }
 
 // CompileWithBounds builds a Compiled from an externally supplied bound
@@ -108,10 +98,19 @@ func CompileWithBounds(net *nn.Network, region *InputRegion, nb *bounds.NetworkB
 		return nil, fmt.Errorf("verify: bounds shape %d layers / %d inputs, network %d / %d",
 			len(nb.Layers), len(nb.Input), len(net.Layers), net.InputDim())
 	}
+	return compileWithBounds(start, net, region, nb, tightened, CompileStats{})
+}
+
+// compileWithBounds runs the final MILP encoding of a compile that began
+// at start, adding its time and pass to st.
+func compileWithBounds(start time.Time, net *nn.Network, region *InputRegion, nb *bounds.NetworkBounds, tightened bool, st CompileStats) (*Compiled, error) {
+	encStart := time.Now()
 	enc, err := encode(net, region, nb, encodeOptions{prefixLayers: -1})
 	if err != nil {
 		return nil, err
 	}
+	st.Encode = time.Since(encStart)
+	st.EncodePasses++
 	return &Compiled{
 		net:         net,
 		region:      region,
@@ -119,6 +118,7 @@ func CompileWithBounds(net *nn.Network, region *InputRegion, nb *bounds.NetworkB
 		enc:         enc,
 		CompileTime: time.Since(start),
 		Tightened:   tightened,
+		Stats:       st,
 	}, nil
 }
 
@@ -160,12 +160,6 @@ func (c *Compiled) checkOutputs(outs ...int) error {
 	return nil
 }
 
-// MaxOutput computes the maximum of output neuron outIndex over the region
-// on the shared encoding.
-func (c *Compiled) MaxOutput(ctx context.Context, outIndex int, opts Options) (*MaxResult, error) {
-	return c.MaxLinear(ctx, map[int]float64{outIndex: 1}, opts)
-}
-
 // MaxLinear computes the maximum of the linear functional
 // Σ coeffs[k]·output[k] over the region. The empty functional is rejected.
 func (c *Compiled) MaxLinear(ctx context.Context, coeffs map[int]float64, opts Options) (*MaxResult, error) {
@@ -203,12 +197,11 @@ func (e *encoding) intervalBound(coeffs map[int]float64) float64 {
 
 // MaxOverOutputs returns the maximum over several output neurons (one MILP
 // per output — a disjunction solved as independent problems, concurrently
-// when opts.Parallel is set), sharing the compiled encoding. With Parallel,
-// Stats.Elapsed sums per-query times and so exceeds wall-clock time.
-//
-// When opts.TimeLimit is set, it budgets each per-output MILP on its own
-// clock (the historical semantics of the free MaxOverOutputs function); the
-// ctx deadline, if any, bounds the whole call.
+// when opts.Parallel is set), sharing the compiled encoding. The verifier
+// uses it to bound every mixture component's μ_lat, which soundly bounds
+// the mixture mean (see package gmm). The ctx deadline bounds the whole
+// call. With Parallel, Stats.Elapsed sums per-query times and so exceeds
+// wall-clock time.
 func (c *Compiled) MaxOverOutputs(ctx context.Context, outIndices []int, opts Options) (*MaxResult, error) {
 	if len(outIndices) == 0 {
 		return nil, fmt.Errorf("verify: MaxOverOutputs needs at least one output index")
@@ -229,9 +222,7 @@ func (c *Compiled) MaxOverOutputs(ctx context.Context, outIndices []int, opts Op
 		}
 	}
 	solveOne := func(out int) (*MaxResult, error) {
-		qctx, cancel := perQueryContext(ctx, opts.TimeLimit)
-		defer cancel()
-		return maxWithEncoding(qctx, c.enc.withModelClone(), map[int]float64{out: 1}, innerOpts)
+		return maxWithEncoding(ctx, c.enc.withModelClone(), map[int]float64{out: 1}, innerOpts)
 	}
 
 	results := make([]*MaxResult, len(outIndices))
@@ -277,21 +268,12 @@ func (c *Compiled) MaxOverOutputs(ctx context.Context, outIndices []int, opts Op
 	return best, nil
 }
 
-// ProveUpperBound proves output[outIndex] ≤ threshold over the region, or
-// returns a counterexample, on the shared encoding. The result always
-// carries BestBound — the tightest proven upper bound on the output at the
-// moment the query ended — so an interrupted query still returns a usable
-// anytime answer.
-func (c *Compiled) ProveUpperBound(ctx context.Context, outIndex int, threshold float64, opts Options) (*ProveResult, error) {
-	if err := c.checkOutputs(outIndex); err != nil {
-		return nil, err
-	}
-	return c.ProveLinearUpperBound(ctx, map[int]float64{outIndex: 1}, threshold, opts)
-}
-
 // ProveLinearUpperBound proves Σ coeffs[k]·output[k] ≤ threshold over the
 // region, or returns a counterexample. This is the general linear output
-// inequality the property algebra in pkg/vnn compiles to.
+// inequality the property algebra in pkg/vnn compiles to. The result always
+// carries BestBound — the tightest proven upper bound on the functional at
+// the moment the query ended — so an interrupted query still returns a
+// usable anytime answer.
 //
 // The query is encoded as a feasibility problem: the functional is
 // constrained to exceed the threshold and branch-and-bound searches for any
@@ -384,26 +366,18 @@ func (e *encoding) addLinearFloor(coeffs map[int]float64, threshold float64) {
 }
 
 // prepareBounds runs interval propagation (plus optional LP tightening,
-// bounded by ctx) over the region box.
-func prepareBounds(ctx context.Context, net *nn.Network, region *InputRegion, opts Options) (*bounds.NetworkBounds, error) {
+// bounded by ctx) over the region box, and reports the tightening effort.
+func prepareBounds(ctx context.Context, net *nn.Network, region *InputRegion, opts Options) (*bounds.NetworkBounds, CompileStats, error) {
+	var st CompileStats
 	if err := region.Validate(net); err != nil {
-		return nil, err
+		return nil, st, err
 	}
 	nb, err := bounds.Propagate(net, region.Box)
-	if err != nil {
-		return nil, err
+	if err != nil || !opts.Tighten {
+		return nb, st, err
 	}
-	if opts.Tighten {
-		return TightenLPCtx(ctx, net, region, nb, opts.Workers)
-	}
-	return nb, nil
-}
-
-// perQueryContext derives the budget context for one inner MILP: the
-// legacy per-query TimeLimit when set, under the caller's ctx either way.
-func perQueryContext(parent context.Context, limit time.Duration) (context.Context, context.CancelFunc) {
-	if limit > 0 {
-		return context.WithTimeout(parent, limit)
-	}
-	return context.WithCancel(parent)
+	start := time.Now()
+	nb, st.EncodePasses, err = tightenLP(ctx, net, region, nb, opts.Workers)
+	st.Tighten, st.TightenPasses = time.Since(start), 1
+	return nb, st, err
 }

@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"time"
@@ -22,7 +23,7 @@ import (
 // the shared network encoding across components but adds K binaries; which
 // variant wins is workload-dependent (the per-output form also
 // parallelizes; see Options.Parallel).
-func MaxOverOutputsSingleMILP(net *nn.Network, region *InputRegion, outIndices []int, opts Options) (*MaxResult, error) {
+func MaxOverOutputsSingleMILP(ctx context.Context, net *nn.Network, region *InputRegion, outIndices []int, opts Options) (*MaxResult, error) {
 	if len(outIndices) == 0 {
 		return nil, fmt.Errorf("verify: MaxOverOutputsSingleMILP needs at least one output index")
 	}
@@ -32,19 +33,14 @@ func MaxOverOutputsSingleMILP(net *nn.Network, region *InputRegion, outIndices [
 		}
 	}
 	start := time.Now()
-	ctx, cancel := opts.queryContext()
-	defer cancel()
-	nb, err := prepareBounds(ctx, net, region, opts)
+	c, err := Compile(ctx, net, region, opts)
 	if err != nil {
 		return nil, err
 	}
-	enc, err := encode(net, region, nb, encodeOptions{prefixLayers: -1})
-	if err != nil {
-		return nil, err
-	}
+	enc := c.enc // owned here: the selectors extend this model in place
 
 	// Bounds for t and the big-M constants.
-	outB := nb.Output()
+	outB := c.nb.Output()
 	tHi := math.Inf(-1)
 	tLo := math.Inf(1)
 	for _, oi := range outIndices {

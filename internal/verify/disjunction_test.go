@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -19,11 +20,11 @@ func TestSingleMILPMatchesPerOutput(t *testing.T) {
 		}, rng)
 		region := unitRegion(3)
 		outs := []int{0, 1, 2, 3}
-		per, err := MaxOverOutputs(net, region, outs, Options{})
+		per, err := maxOverOutputs(context.Background(), net, region, outs, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		single, err := MaxOverOutputsSingleMILP(net, region, outs, Options{})
+		single, err := MaxOverOutputsSingleMILP(context.Background(), net, region, outs, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -48,10 +49,10 @@ func TestSingleMILPMatchesPerOutput(t *testing.T) {
 func TestSingleMILPValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	net := nn.New(nn.Config{Name: "v", InputDim: 2, Hidden: []int{3}, OutputDim: 2, HiddenAct: nn.ReLU, OutputAct: nn.Identity}, rng)
-	if _, err := MaxOverOutputsSingleMILP(net, unitRegion(2), nil, Options{}); err == nil {
+	if _, err := MaxOverOutputsSingleMILP(context.Background(), net, unitRegion(2), nil, Options{}); err == nil {
 		t.Fatal("empty output list accepted")
 	}
-	if _, err := MaxOverOutputsSingleMILP(net, unitRegion(2), []int{5}, Options{}); err == nil {
+	if _, err := MaxOverOutputsSingleMILP(context.Background(), net, unitRegion(2), []int{5}, Options{}); err == nil {
 		t.Fatal("bad output index accepted")
 	}
 }
@@ -62,11 +63,11 @@ func TestSingleMILPSubset(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	net := nn.New(nn.Config{Name: "s", InputDim: 2, Hidden: []int{5}, OutputDim: 3, HiddenAct: nn.ReLU, OutputAct: nn.Identity}, rng)
 	region := unitRegion(2)
-	all, err := MaxOverOutputsSingleMILP(net, region, []int{0, 1, 2}, Options{})
+	all, err := MaxOverOutputsSingleMILP(context.Background(), net, region, []int{0, 1, 2}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub, err := MaxOverOutputsSingleMILP(net, region, []int{1}, Options{})
+	sub, err := MaxOverOutputsSingleMILP(context.Background(), net, region, []int{1}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

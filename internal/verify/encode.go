@@ -4,13 +4,15 @@
 // Artificial Neural Networks", ATVA 2017) and answering safety queries with
 // the branch-and-bound solver from package milp.
 //
-// Supported queries (Table II of the paper):
+// A network is compiled once per input region (Compile) and queried on
+// the shared encoding. The queries of Table II of the paper are:
 //
-//   - MaxOutput: the maximum value an output neuron can take while the
-//     input stays inside a constrained region ("maximum lateral velocity
-//     when a vehicle exists on the left");
-//   - ProveUpperBound: proof, or counterexample, that an output stays
-//     below a threshold ("the lateral velocity can never exceed 3 m/s").
+//   - Compiled.MaxLinear with {i: 1}: the maximum value an output neuron
+//     can take while the input stays inside a constrained region
+//     ("maximum lateral velocity when a vehicle exists on the left");
+//   - Compiled.ProveLinearUpperBound with {i: 1}: proof, or
+//     counterexample, that an output stays below a threshold ("the
+//     lateral velocity can never exceed 3 m/s").
 //
 // Only ReLU hidden layers and identity output layers are encodable; tanh
 // networks are rejected (the paper's MC/DC discussion notes they need no
@@ -19,7 +21,6 @@ package verify
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/bounds"
 	"repro/internal/lp"
@@ -128,7 +129,6 @@ type encodeOptions struct {
 // (or a tightened refinement of it).
 func encode(net *nn.Network, region *InputRegion, nb *bounds.NetworkBounds, opt encodeOptions) (*encoding, error) {
 	encodePasses.Add(1)
-	defer func(start time.Time) { encodeNanos.Add(int64(time.Since(start))) }(time.Now())
 	if err := region.Validate(net); err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -21,11 +22,11 @@ func TestParallelMatchesSequential(t *testing.T) {
 	}, rng)
 	region := unitRegion(4)
 	outs := []int{0, 1, 2, 3, 4}
-	seq, err := MaxOverOutputs(net, region, outs, Options{Workers: 2})
+	seq, err := maxOverOutputs(context.Background(), net, region, outs, Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := MaxOverOutputs(net, region, outs, Options{Parallel: true, Workers: 2})
+	par, err := maxOverOutputs(context.Background(), net, region, outs, Options{Parallel: true, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,12 +67,12 @@ func TestWorkersMatchSequentialVerify(t *testing.T) {
 	}, rng)
 	region := unitRegion(4)
 	for _, tighten := range []bool{false, true} {
-		seq, err := MaxOutput(net, region, 0, Options{Workers: 1, Tighten: tighten})
+		seq, err := maxOutput(context.Background(), net, region, 0, Options{Workers: 1, Tighten: tighten})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, w := range []int{2, 3} {
-			par, err := MaxOutput(net, region, 0, Options{Workers: w, Tighten: tighten})
+			par, err := maxOutput(context.Background(), net, region, 0, Options{Workers: w, Tighten: tighten})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -98,7 +99,7 @@ func TestParallelRace(t *testing.T) {
 	}, rng)
 	region := unitRegion(3)
 	for i := 0; i < 5; i++ {
-		if _, err := MaxOverOutputs(net, region, []int{0, 1, 2, 3}, Options{Parallel: true}); err != nil {
+		if _, err := maxOverOutputs(context.Background(), net, region, []int{0, 1, 2, 3}, Options{Parallel: true}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/milp"
-	"repro/internal/nn"
 )
 
 // Outcome classifies a verification result.
@@ -38,14 +37,10 @@ func (o Outcome) String() string {
 	return fmt.Sprintf("Outcome(%d)", int(o))
 }
 
-// Options tune a verification run.
+// Options tune a verification query. Deadlines and cancellation travel
+// on the context every entry point takes: a ctx deadline bounds
+// compilation (LP tightening included) and every MILP a query runs.
 type Options struct {
-	// TimeLimit bounds each MILP solve in the free query functions (and
-	// each per-output MILP in MaxOverOutputs); 0 means unlimited. The
-	// compiled API (Compile / Compiled methods, pkg/vnn) uses context
-	// deadlines instead, which also cover bound tightening; TimeLimit is
-	// kept for the convenience wrappers.
-	TimeLimit time.Duration
 	// MaxNodes bounds branch-and-bound nodes; 0 means unlimited.
 	MaxNodes int
 	// Tighten selects LP-based bound tightening before encoding
@@ -74,12 +69,6 @@ func (o Options) milpOptions() milp.Options {
 	}
 }
 
-// queryContext converts the legacy TimeLimit into a context deadline for
-// the free query functions.
-func (o Options) queryContext() (context.Context, context.CancelFunc) {
-	return perQueryContext(context.Background(), o.TimeLimit)
-}
-
 // Stats describes the effort a query took.
 type Stats struct {
 	Elapsed       time.Duration
@@ -91,7 +80,9 @@ type Stats struct {
 	HiddenNeurons int
 }
 
-// MaxResult is the answer to a MaxOutput query.
+// MaxResult is the answer to a maximization query (Compiled.MaxLinear,
+// Compiled.MaxOverOutputs). MaxLinear with {i: 1} is the paper's "maximum
+// lateral velocity when a vehicle exists on the left" query.
 type MaxResult struct {
 	// Exact reports whether Value is the proven maximum (false on timeout).
 	Exact bool
@@ -104,27 +95,6 @@ type MaxResult struct {
 	// Witness is an input achieving Value, nil if none was found.
 	Witness []float64
 	Stats   Stats
-}
-
-// MaxOutput computes the maximum of output neuron outIndex over the region.
-// This is the paper's "maximum lateral velocity when a vehicle exists on
-// the left" query. It is a convenience wrapper that compiles the network
-// for one query; to run several queries, Compile once and use the
-// Compiled methods (or the public pkg/vnn API).
-func MaxOutput(net *nn.Network, region *InputRegion, outIndex int, opts Options) (*MaxResult, error) {
-	start := time.Now()
-	ctx, cancel := opts.queryContext()
-	defer cancel()
-	c, err := Compile(ctx, net, region, opts)
-	if err != nil {
-		return nil, err
-	}
-	res, err := c.MaxOutput(ctx, outIndex, opts)
-	if err != nil {
-		return nil, err
-	}
-	res.Stats.Elapsed = time.Since(start) // include compilation, as before
-	return res, nil
 }
 
 // solveObjective sets Σ coeffs[k]·output[k] as the (maximized) objective on
@@ -173,7 +143,9 @@ func maxWithEncoding(ctx context.Context, enc *encoding, coeffs map[int]float64,
 	return out, nil
 }
 
-// ProveResult is the answer to a ProveUpperBound query.
+// ProveResult is the answer to a Compiled.ProveLinearUpperBound query.
+// With {i: 1} it is Table II's last row: "prove that the lateral velocity
+// can never be larger than 3 m/s".
 type ProveResult struct {
 	Outcome Outcome
 	// Threshold echoes the bound that was checked.
@@ -188,58 +160,6 @@ type ProveResult struct {
 	// BestBound ≤ Threshold.
 	BestBound float64
 	Stats     Stats
-}
-
-// ProveUpperBound proves output[outIndex] ≤ threshold over the region, or
-// returns a counterexample. This is Table II's last row: "prove that the
-// lateral velocity can never be larger than 3 m/s". It is a convenience
-// wrapper that compiles the network for one query; to run several queries,
-// Compile once and use the Compiled methods (or the public pkg/vnn API).
-func ProveUpperBound(net *nn.Network, region *InputRegion, outIndex int, threshold float64, opts Options) (*ProveResult, error) {
-	start := time.Now()
-	ctx, cancel := opts.queryContext()
-	defer cancel()
-	c, err := Compile(ctx, net, region, opts)
-	if err != nil {
-		return nil, err
-	}
-	res, err := c.ProveUpperBound(ctx, outIndex, threshold, opts)
-	if err != nil {
-		return nil, err
-	}
-	res.Stats.Elapsed = time.Since(start) // include compilation, as before
-	return res, nil
-}
-
-// MaxOverOutputs returns the maximum over several output neurons (one MILP
-// per output — a disjunction solved as independent problems, concurrently
-// when opts.Parallel is set). The verifier uses it to bound every mixture
-// component's μ_lat, which soundly bounds the mixture mean (see package
-// gmm). With Parallel, Stats.Elapsed sums per-query times and so exceeds
-// wall-clock time.
-//
-// Bound preparation (interval propagation plus optional LP tightening) and
-// the MILP encoding are shared across the outputs: the network is compiled
-// once and each per-output solve only swaps the objective on a clone,
-// instead of re-encoding the whole network per output.
-func MaxOverOutputs(net *nn.Network, region *InputRegion, outIndices []int, opts Options) (*MaxResult, error) {
-	start := time.Now()
-	// The outer context is unlimited: as documented on Options.TimeLimit,
-	// the per-query budget applies to every per-output MILP on its own
-	// clock (handled inside Compiled.MaxOverOutputs), not to the batch.
-	ctx := context.Background()
-	c, err := Compile(ctx, net, region, opts)
-	if err != nil {
-		return nil, err
-	}
-	prepElapsed := time.Since(start)
-	res, err := c.MaxOverOutputs(ctx, outIndices, opts)
-	if err != nil {
-		return nil, err
-	}
-	// Shared bound preparation + encoding, counted once.
-	res.Stats.Elapsed += prepElapsed
-	return res, nil
 }
 
 func extractWitness(e *encoding, x []float64) []float64 {

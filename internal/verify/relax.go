@@ -33,13 +33,11 @@ type BoundLadder struct {
 // relaxed to [0,1], solved once. It is always an upper bound on the true
 // maximum (the relaxation contains every integer-feasible point) and is
 // the root bound branch-and-bound starts from.
-func RelaxationBound(net *nn.Network, region *InputRegion, outIndex int, opts Options) (float64, error) {
+func RelaxationBound(ctx context.Context, net *nn.Network, region *InputRegion, outIndex int, opts Options) (float64, error) {
 	if outIndex < 0 || outIndex >= net.OutputDim() {
 		return 0, fmt.Errorf("verify: output index %d of %d", outIndex, net.OutputDim())
 	}
-	ctx, cancel := opts.queryContext()
-	defer cancel()
-	nb, err := prepareBounds(ctx, net, region, opts)
+	nb, _, err := prepareBounds(ctx, net, region, opts)
 	if err != nil {
 		return 0, err
 	}
@@ -59,12 +57,13 @@ func RelaxationBound(net *nn.Network, region *InputRegion, outIndex int, opts Op
 	return sol.Objective, nil
 }
 
-// Ladder computes all three bounds for one output over a region.
-func Ladder(net *nn.Network, region *InputRegion, outIndex int, opts Options) (*BoundLadder, error) {
+// Ladder computes all three bounds for one output over a region; ctx
+// bounds each of them.
+func Ladder(ctx context.Context, net *nn.Network, region *InputRegion, outIndex int, opts Options) (*BoundLadder, error) {
 	out := &BoundLadder{}
 
 	start := time.Now()
-	nb, err := prepareBounds(context.Background(), net, region, Options{}) // plain intervals
+	nb, _, err := prepareBounds(ctx, net, region, Options{}) // plain intervals
 	if err != nil {
 		return nil, err
 	}
@@ -72,19 +71,24 @@ func Ladder(net *nn.Network, region *InputRegion, outIndex int, opts Options) (*
 	out.IntervalTime = time.Since(start)
 
 	start = time.Now()
-	relax, err := RelaxationBound(net, region, outIndex, opts)
+	relax, err := RelaxationBound(ctx, net, region, outIndex, opts)
 	if err != nil {
 		return nil, err
 	}
 	out.Relaxation = relax
 	out.RelaxationTime = time.Since(start)
 
-	mx, err := MaxOutput(net, region, outIndex, opts)
+	start = time.Now()
+	c, err := Compile(ctx, net, region, opts)
+	if err != nil {
+		return nil, err
+	}
+	mx, err := c.MaxLinear(ctx, map[int]float64{outIndex: 1}, opts)
 	if err != nil {
 		return nil, err
 	}
 	out.Exact = mx.Value
-	out.ExactTime = mx.Stats.Elapsed
+	out.ExactTime = time.Since(start)
 	out.ExactConclusive = mx.Exact
 	if !mx.Exact {
 		out.Exact = mx.UpperBound // still a sound upper bound

@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -14,7 +15,7 @@ func TestLadderOrdering(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		net := randomReLUNet(seed+200, 3, []int{6, 5}, 1)
 		region := unitRegion(3)
-		lad, err := Ladder(net, region, 0, Options{})
+		lad, err := Ladder(context.Background(), net, region, 0, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -39,7 +40,7 @@ func TestLadderStrictGapExists(t *testing.T) {
 	strictInterval, strictRelax := false, false
 	for seed := int64(0); seed < 8; seed++ {
 		net := randomReLUNet(seed+300, 3, []int{7, 6}, 1)
-		lad, err := Ladder(net, unitRegion(3), 0, Options{})
+		lad, err := Ladder(context.Background(), net, unitRegion(3), 0, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -60,7 +61,7 @@ func TestLadderStrictGapExists(t *testing.T) {
 
 func TestRelaxationBoundValidation(t *testing.T) {
 	net := randomReLUNet(1, 2, []int{3}, 1)
-	if _, err := RelaxationBound(net, unitRegion(2), 9, Options{}); err == nil {
+	if _, err := RelaxationBound(context.Background(), net, unitRegion(2), 9, Options{}); err == nil {
 		t.Fatal("bad output index accepted")
 	}
 }
@@ -73,7 +74,7 @@ func TestRelaxationTightWhenAllStable(t *testing.T) {
 		{W: [][]float64{{1, 1}}, B: []float64{0}, Act: nn.Identity},
 	}}
 	region := unitRegion(1)
-	lad, err := Ladder(net, region, 0, Options{})
+	lad, err := Ladder(context.Background(), net, region, 0, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,7 +33,8 @@ type ResilienceResult struct {
 type ResilienceOptions struct {
 	// MaxIterations bounds binary-search steps; 0 means 10.
 	MaxIterations int
-	// Query forwards options to each ProveUpperBound call.
+	// Query is the compile and prove options of every probe; the
+	// context passed to Resilience budgets the whole search.
 	Query Options
 }
 
@@ -42,16 +43,12 @@ type ResilienceOptions struct {
 // "maximum resilience" measure of Cheng et al. (ATVA 2017) that the paper's
 // verification methodology builds on. The search space is clipped to the
 // given domain box. The nominal point itself must satisfy the property.
-func Resilience(net *nn.Network, x0 []float64, domain []bounds.Interval, outIndex int, threshold float64, opts ResilienceOptions) (*ResilienceResult, error) {
-	return ResilienceCtx(context.Background(), net, x0, domain, outIndex, threshold, opts)
-}
-
-// ResilienceCtx is Resilience under a context. Each probe re-compiles the
-// shrunken ball region (the region changes every binary-search step, so
-// the encoding cannot be shared) under the context; cancellation or an
-// expired deadline ends the search early and returns the largest radius
-// certified so far — the anytime answer — with no error.
-func ResilienceCtx(ctx context.Context, net *nn.Network, x0 []float64, domain []bounds.Interval, outIndex int, threshold float64, opts ResilienceOptions) (*ResilienceResult, error) {
+//
+// Each probe compiles the shrunken ball region under ctx (the region
+// changes every binary-search step, so the encoding cannot be shared).
+// Cancellation or an expired deadline ends the search early and returns
+// the largest radius certified so far — the anytime answer — with no error.
+func Resilience(ctx context.Context, net *nn.Network, x0 []float64, domain []bounds.Interval, outIndex int, threshold float64, opts ResilienceOptions) (*ResilienceResult, error) {
 	start := time.Now()
 	if len(x0) != net.InputDim() {
 		return nil, fmt.Errorf("verify: nominal point dim %d, network input %d", len(x0), net.InputDim())
@@ -94,13 +91,11 @@ func ResilienceCtx(ctx context.Context, net *nn.Network, x0 []float64, domain []
 	lo, hi := 0.0, hiEps // lo = certified, hi = not certified (or untested)
 
 	probe := func(eps float64) (*ProveResult, error) {
-		pctx, cancel := perQueryContext(ctx, opts.Query.TimeLimit)
-		defer cancel()
-		c, err := Compile(pctx, net, ballRegion(eps), opts.Query)
+		c, err := Compile(ctx, net, ballRegion(eps), opts.Query)
 		if err != nil {
 			return nil, err
 		}
-		return c.ProveUpperBound(pctx, outIndex, threshold, opts.Query)
+		return c.ProveLinearUpperBound(ctx, map[int]float64{outIndex: 1}, threshold, opts.Query)
 	}
 
 	// First probe the full radius: everything may already be safe.
@@ -145,38 +140,4 @@ func ResilienceCtx(ctx context.Context, net *nn.Network, x0 []float64, domain []
 	res.Certified = lo > 0 || res.Breaking == nil
 	res.Elapsed = time.Since(start)
 	return res, nil
-}
-
-// MinOutput computes the minimum of output neuron outIndex over the region.
-// The result reuses MaxResult with mirrored semantics: Value is the minimum
-// found and UpperBound holds the proven *lower* bound from branch-and-bound
-// (equal to Value when Exact).
-func MinOutput(net *nn.Network, region *InputRegion, outIndex int, opts Options) (*MaxResult, error) {
-	neg := negateOutput(net, outIndex)
-	res, err := MaxOutput(neg, region, 0, opts)
-	if err != nil {
-		return nil, err
-	}
-	res.Value = -res.Value
-	res.UpperBound = -res.UpperBound
-	return res, nil
-}
-
-// negateOutput builds a single-output copy of net computing −output[idx]
-// (weights of the final linear layer are negated; hidden layers shared
-// structurally via clone).
-func negateOutput(net *nn.Network, idx int) *nn.Network {
-	cl := net.Clone()
-	last := cl.Layers[len(cl.Layers)-1]
-	row := make([]float64, len(last.W[idx]))
-	for i, w := range last.W[idx] {
-		row[i] = -w
-	}
-	cl.Layers[len(cl.Layers)-1] = &nn.Layer{
-		W:   [][]float64{row},
-		B:   []float64{-last.B[idx]},
-		Act: last.Act,
-	}
-	cl.OutputNames = nil
-	return cl
 }

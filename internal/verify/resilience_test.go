@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -16,7 +17,7 @@ func TestResilienceLinearExact(t *testing.T) {
 		{W: [][]float64{{1}}, B: []float64{0}, Act: nn.Identity},
 	}}
 	dom := []bounds.Interval{{Lo: -1, Hi: 1}}
-	res, err := Resilience(net, []float64{0}, dom, 0, 0.5, ResilienceOptions{MaxIterations: 16})
+	res, err := Resilience(context.Background(), net, []float64{0}, dom, 0, 0.5, ResilienceOptions{MaxIterations: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +37,7 @@ func TestResilienceWholeDomainSafe(t *testing.T) {
 		{W: [][]float64{{1}}, B: []float64{0}, Act: nn.Identity},
 	}}
 	dom := []bounds.Interval{{Lo: -1, Hi: 1}}
-	res, err := Resilience(net, []float64{0}, dom, 0, 5, ResilienceOptions{})
+	res, err := Resilience(context.Background(), net, []float64{0}, dom, 0, 5, ResilienceOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,13 +54,13 @@ func TestResilienceValidation(t *testing.T) {
 		{W: [][]float64{{1}}, B: []float64{0}, Act: nn.Identity},
 	}}
 	dom := []bounds.Interval{{Lo: -1, Hi: 1}}
-	if _, err := Resilience(net, []float64{0, 0}, dom, 0, 1, ResilienceOptions{}); err == nil {
+	if _, err := Resilience(context.Background(), net, []float64{0, 0}, dom, 0, 1, ResilienceOptions{}); err == nil {
 		t.Fatal("dim mismatch accepted")
 	}
-	if _, err := Resilience(net, []float64{5}, dom, 0, 1, ResilienceOptions{}); err == nil {
+	if _, err := Resilience(context.Background(), net, []float64{5}, dom, 0, 1, ResilienceOptions{}); err == nil {
 		t.Fatal("nominal outside domain accepted")
 	}
-	if _, err := Resilience(net, []float64{0.9}, dom, 0, 0.5, ResilienceOptions{}); err == nil {
+	if _, err := Resilience(context.Background(), net, []float64{0.9}, dom, 0, 0.5, ResilienceOptions{}); err == nil {
 		t.Fatal("violating nominal accepted")
 	}
 }
@@ -72,7 +73,7 @@ func TestResilienceCertifiedRadiusIsSound(t *testing.T) {
 	dom := []bounds.Interval{{Lo: -1, Hi: 1}, {Lo: -1, Hi: 1}}
 	x0 := []float64{0.1, -0.2}
 	thr := net.Forward(x0)[0] + 0.3
-	res, err := Resilience(net, x0, dom, 0, thr, ResilienceOptions{MaxIterations: 12})
+	res, err := Resilience(context.Background(), net, x0, dom, 0, thr, ResilienceOptions{MaxIterations: 12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,57 +87,6 @@ func TestResilienceCertifiedRadiusIsSound(t *testing.T) {
 		}
 		if v := net.Forward(x)[0]; v > thr+1e-6 {
 			t.Fatalf("violation inside certified ball: %v -> %g > %g", x, v, thr)
-		}
-	}
-}
-
-func TestMinOutput(t *testing.T) {
-	// y = relu(x) - 1 on [-1,1]: min = -1 (any x<=0), max = 0 at x=1... max = relu(1)-1 = 0.
-	net := &nn.Network{Layers: []*nn.Layer{
-		{W: [][]float64{{1}}, B: []float64{0}, Act: nn.ReLU},
-		{W: [][]float64{{1}}, B: []float64{-1}, Act: nn.Identity},
-	}}
-	region := &InputRegion{Box: []bounds.Interval{{Lo: -1, Hi: 1}}}
-	mn, err := MinOutput(net, region, 0, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !mn.Exact || math.Abs(mn.Value+1) > 1e-6 {
-		t.Fatalf("min = %g (exact=%v), want -1", mn.Value, mn.Exact)
-	}
-	mx, err := MaxOutput(net, region, 0, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(mx.Value) > 1e-6 {
-		t.Fatalf("max = %g, want 0", mx.Value)
-	}
-	if mn.Value > mx.Value {
-		t.Fatal("min exceeds max")
-	}
-}
-
-func TestMinMaxConsistencyRandom(t *testing.T) {
-	for seed := int64(0); seed < 4; seed++ {
-		rng := rand.New(rand.NewSource(seed + 30))
-		net := nn.New(nn.Config{Name: "m", InputDim: 2, Hidden: []int{5}, OutputDim: 2, HiddenAct: nn.ReLU, OutputAct: nn.Identity}, rng)
-		region := &InputRegion{Box: []bounds.Interval{{Lo: -1, Hi: 1}, {Lo: -1, Hi: 1}}}
-		mn, err := MinOutput(net, region, 1, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		mx, err := MaxOutput(net, region, 1, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if mn.Value > mx.Value+1e-6 {
-			t.Fatalf("seed %d: min %g > max %g", seed, mn.Value, mx.Value)
-		}
-		// A random point's output must fall between them.
-		x := []float64{rng.Float64()*2 - 1, rng.Float64()*2 - 1}
-		v := net.Forward(x)[1]
-		if v < mn.Value-1e-6 || v > mx.Value+1e-6 {
-			t.Fatalf("seed %d: sample %g outside [%g, %g]", seed, v, mn.Value, mx.Value)
 		}
 	}
 }

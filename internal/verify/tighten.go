@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"time"
 
 	"repro/internal/bounds"
 	"repro/internal/lp"
@@ -22,11 +21,28 @@ import (
 //
 // The result is always sound: LP bounds are intersected with the interval
 // bounds, never widened. This is the preprocessing ablation benchmarked in
-// BenchmarkBigMAblation. TightenLP runs sequentially; TightenLPWorkers
-// fans the per-neuron LPs out across workers; TightenLPCtx additionally
-// honors a context deadline.
-func TightenLP(net *nn.Network, region *InputRegion, nb *bounds.NetworkBounds) (*bounds.NetworkBounds, error) {
-	return TightenLPCtx(context.Background(), net, region, nb, 1)
+// BenchmarkBigMAblation.
+//
+// The per-neuron bound LPs of each layer are distributed over the given
+// number of workers (0 means GOMAXPROCS, 1 runs them sequentially). Every
+// worker owns a clone of the layer encoding and a persistent warm-started
+// lp.Solver: within a layer only the objective changes between solves, so
+// the saved simplex basis stays primal feasible and phase 1 never reruns.
+// Neurons are assigned to workers statically (round-robin by index), which
+// keeps the result deterministic for a fixed worker count.
+//
+// The ctx deadline (or cancellation) bounds tightening too, not only the
+// later MILP solve, so a user budget cannot be consumed entirely by
+// preprocessing. The poll reaches into each bound LP's pivot loop.
+// Interruption is graceful and sound: tightening stops where it is and the
+// bounds computed so far are returned (interval analysis alone is already
+// sound; every completed LP only shrank it), with no error. Note an
+// interrupted pass makes the resulting bounds depend on where the deadline
+// fell — deterministic runs need either no deadline or one generous enough
+// not to fire.
+func TightenLP(ctx context.Context, net *nn.Network, region *InputRegion, nb *bounds.NetworkBounds, workers int) (*bounds.NetworkBounds, error) {
+	out, _, err := tightenLP(ctx, net, region, nb, workers)
+	return out, err
 }
 
 // neuronBounds is the LP answer for one neuron's pre-activation.
@@ -34,45 +50,28 @@ type neuronBounds struct {
 	hi, lo dirResult
 }
 
-// TightenLPWorkers is TightenLP with the per-neuron bound LPs of each layer
-// distributed over the given number of workers (0 means GOMAXPROCS). Every
-// worker owns a clone of the layer encoding and a persistent warm-started
-// lp.Solver: within a layer only the objective changes between solves, so
-// the saved simplex basis stays primal feasible and phase 1 never reruns.
-// Neurons are assigned to workers statically (round-robin by index), which
-// keeps the result deterministic for a fixed worker count.
-func TightenLPWorkers(net *nn.Network, region *InputRegion, nb *bounds.NetworkBounds, workers int) (*bounds.NetworkBounds, error) {
-	return TightenLPCtx(context.Background(), net, region, nb, workers)
-}
-
-// TightenLPCtx is TightenLPWorkers under a context: the ctx deadline (or
-// cancellation) bounds preprocessing too, not only the later MILP solve,
-// so a user budget can no longer be consumed entirely by tightening. The
-// poll reaches into each bound LP's pivot loop. Interruption is graceful
-// and sound: tightening stops where it is and the bounds computed so far
-// are returned (interval analysis alone is already sound; every completed
-// LP only shrank it), with no error. Note an interrupted pass makes the
-// resulting bounds depend on where the deadline fell — deterministic runs
-// need either no deadline or one generous enough not to fire.
-func TightenLPCtx(ctx context.Context, net *nn.Network, region *InputRegion, nb *bounds.NetworkBounds, workers int) (*bounds.NetworkBounds, error) {
+// tightenLP is TightenLP that also returns the number of prefix encoding
+// passes it ran (one per hidden layer reached).
+func tightenLP(ctx context.Context, net *nn.Network, region *InputRegion, nb *bounds.NetworkBounds, workers int) (*bounds.NetworkBounds, int, error) {
 	tightenPasses.Add(1)
-	defer func(start time.Time) { tightenNanos.Add(int64(time.Since(start))) }(time.Now())
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	cancelled := func() bool { return ctx.Err() != nil }
 	hints := make([][]bounds.Interval, len(net.Layers))
 	cur := nb
+	encodes := 0
 	for li := 0; li+1 < len(net.Layers); li++ {
 		if net.Layers[li].Act != nn.ReLU {
-			return nil, fmt.Errorf("verify: TightenLP hidden layer %d is %v, need relu", li, net.Layers[li].Act)
+			return nil, encodes, fmt.Errorf("verify: TightenLP hidden layer %d is %v, need relu", li, net.Layers[li].Act)
 		}
 		if cancelled() {
-			return cur, nil // sound: every completed layer only tightened
+			return cur, encodes, nil // sound: every completed layer only tightened
 		}
+		encodes++
 		enc, err := encode(net, region, cur, encodeOptions{relaxBinaries: true, prefixLayers: li})
 		if err != nil {
-			return nil, err
+			return nil, encodes, err
 		}
 		prevVars := enc.inputs
 		if li > 0 {
@@ -93,7 +92,7 @@ func TightenLPCtx(ctx context.Context, net *nn.Network, region *InputRegion, nb 
 			hints[li] = tightened
 			next, err := bounds.PropagateWithHints(net, region.Box, hints)
 			if err != nil {
-				return nil, err
+				return nil, encodes, err
 			}
 			cur = next
 			continue
@@ -147,7 +146,7 @@ func TightenLPCtx(ctx context.Context, net *nn.Network, region *InputRegion, nb 
 		}
 		for _, err := range errs {
 			if err != nil {
-				return nil, err
+				return nil, encodes, err
 			}
 		}
 
@@ -175,11 +174,11 @@ func TightenLPCtx(ctx context.Context, net *nn.Network, region *InputRegion, nb 
 		// Refresh all downstream intervals with the new knowledge.
 		next, err := bounds.PropagateWithHints(net, region.Box, hints)
 		if err != nil {
-			return nil, err
+			return nil, encodes, err
 		}
 		cur = next
 	}
-	return cur, nil
+	return cur, encodes, nil
 }
 
 type dirResult struct {

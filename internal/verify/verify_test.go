@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -17,6 +18,33 @@ func unitRegion(n int) *InputRegion {
 		box[i] = bounds.Interval{Lo: -1, Hi: 1}
 	}
 	return &InputRegion{Box: box}
+}
+
+// maxOutput, proveUpperBound and maxOverOutputs run one query on a fresh
+// compilation of net over region: the Compile-then-query path every
+// caller of the engine takes, with output i as the functional {i: 1}.
+func maxOutput(ctx context.Context, net *nn.Network, region *InputRegion, out int, opts Options) (*MaxResult, error) {
+	c, err := Compile(ctx, net, region, opts)
+	if err != nil {
+		return nil, err
+	}
+	return c.MaxLinear(ctx, map[int]float64{out: 1}, opts)
+}
+
+func proveUpperBound(ctx context.Context, net *nn.Network, region *InputRegion, out int, threshold float64, opts Options) (*ProveResult, error) {
+	c, err := Compile(ctx, net, region, opts)
+	if err != nil {
+		return nil, err
+	}
+	return c.ProveLinearUpperBound(ctx, map[int]float64{out: 1}, threshold, opts)
+}
+
+func maxOverOutputs(ctx context.Context, net *nn.Network, region *InputRegion, outs []int, opts Options) (*MaxResult, error) {
+	c, err := Compile(ctx, net, region, opts)
+	if err != nil {
+		return nil, err
+	}
+	return c.MaxOverOutputs(ctx, outs, opts)
 }
 
 func randomReLUNet(seed int64, in int, hidden []int, out int) *nn.Network {
@@ -70,7 +98,7 @@ func TestMaxOutputHandBuilt(t *testing.T) {
 		{W: [][]float64{{1}, {-1}}, B: []float64{0, 0}, Act: nn.ReLU},
 		{W: [][]float64{{1, 1}}, B: []float64{0}, Act: nn.Identity},
 	}}
-	res, err := MaxOutput(net, unitRegion(1), 0, Options{})
+	res, err := maxOutput(context.Background(), net, unitRegion(1), 0, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +118,7 @@ func TestMaxOutputAgainstBruteForce(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		net := randomReLUNet(seed, 2, []int{5, 4}, 1)
 		region := unitRegion(2)
-		res, err := MaxOutput(net, region, 0, Options{})
+		res, err := maxOutput(context.Background(), net, region, 0, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,7 +153,7 @@ func TestMaxOutputRespectsLinearConstraint(t *testing.T) {
 	region.Linear = []LinearConstraint{{
 		Coeffs: map[int]float64{0: 1, 1: 1}, Sense: lp.LE, RHS: -0.5, Name: "cap",
 	}}
-	res, err := MaxOutput(net, region, 0, Options{})
+	res, err := maxOutput(context.Background(), net, region, 0, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,11 +168,11 @@ func TestMaxOutputRespectsLinearConstraint(t *testing.T) {
 func TestProveUpperBoundProves(t *testing.T) {
 	net := randomReLUNet(3, 2, []int{6}, 1)
 	region := unitRegion(2)
-	mx, err := MaxOutput(net, region, 0, Options{})
+	mx, err := maxOutput(context.Background(), net, region, 0, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pr, err := ProveUpperBound(net, region, 0, mx.Value+0.1, Options{})
+	pr, err := proveUpperBound(context.Background(), net, region, 0, mx.Value+0.1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,12 +184,12 @@ func TestProveUpperBoundProves(t *testing.T) {
 func TestProveUpperBoundFindsCounterexample(t *testing.T) {
 	net := randomReLUNet(4, 2, []int{6}, 1)
 	region := unitRegion(2)
-	mx, err := MaxOutput(net, region, 0, Options{})
+	mx, err := maxOutput(context.Background(), net, region, 0, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	thr := mx.Value - 0.2
-	pr, err := ProveUpperBound(net, region, 0, thr, Options{})
+	pr, err := proveUpperBound(context.Background(), net, region, 0, thr, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +216,7 @@ func TestProveUpperBoundIntervalFastPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Far above the interval bound: must prove without any MILP nodes.
-	pr, err := ProveUpperBound(net, region, 0, nb.Output()[0].Hi+1, Options{})
+	pr, err := proveUpperBound(context.Background(), net, region, 0, nb.Output()[0].Hi+1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,11 +229,11 @@ func TestTightenLPPreservesAnswers(t *testing.T) {
 	for seed := int64(0); seed < 4; seed++ {
 		net := randomReLUNet(seed+10, 3, []int{6, 5}, 1)
 		region := unitRegion(3)
-		plain, err := MaxOutput(net, region, 0, Options{})
+		plain, err := maxOutput(context.Background(), net, region, 0, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		tight, err := MaxOutput(net, region, 0, Options{Tighten: true})
+		tight, err := maxOutput(context.Background(), net, region, 0, Options{Tighten: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -225,7 +253,7 @@ func TestTightenLPBoundsStillSound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tight, err := TightenLP(net, region, nb)
+	tight, err := TightenLP(context.Background(), net, region, nb, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,17 +278,17 @@ func TestTightenLPBoundsStillSound(t *testing.T) {
 func TestTanhRejected(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	net := nn.New(nn.Config{Name: "t", InputDim: 2, Hidden: []int{3}, OutputDim: 1, HiddenAct: nn.Tanh, OutputAct: nn.Identity}, rng)
-	if _, err := MaxOutput(net, unitRegion(2), 0, Options{}); err == nil {
+	if _, err := maxOutput(context.Background(), net, unitRegion(2), 0, Options{}); err == nil {
 		t.Fatal("tanh network must be rejected")
 	}
 }
 
 func TestBadOutputIndex(t *testing.T) {
 	net := randomReLUNet(1, 2, []int{3}, 1)
-	if _, err := MaxOutput(net, unitRegion(2), 5, Options{}); err == nil {
+	if _, err := maxOutput(context.Background(), net, unitRegion(2), 5, Options{}); err == nil {
 		t.Fatal("want error for bad output index")
 	}
-	if _, err := ProveUpperBound(net, unitRegion(2), -1, 0, Options{}); err == nil {
+	if _, err := proveUpperBound(context.Background(), net, unitRegion(2), -1, 0, Options{}); err == nil {
 		t.Fatal("want error for negative output index")
 	}
 }
@@ -271,7 +299,7 @@ func TestEmptyRegionRejected(t *testing.T) {
 	region.Linear = []LinearConstraint{
 		{Coeffs: map[int]float64{0: 1}, Sense: lp.GE, RHS: 5, Name: "impossible"},
 	}
-	if _, err := MaxOutput(net, region, 0, Options{}); err == nil {
+	if _, err := maxOutput(context.Background(), net, region, 0, Options{}); err == nil {
 		t.Fatal("empty region should error")
 	}
 }
@@ -279,14 +307,18 @@ func TestEmptyRegionRejected(t *testing.T) {
 func TestTimeoutOutcome(t *testing.T) {
 	net := randomReLUNet(6, 6, []int{14, 14, 14}, 1)
 	region := unitRegion(6)
-	res, err := MaxOutput(net, region, 0, Options{TimeLimit: time.Microsecond})
+	ctx, cancel := context.WithTimeout(context.Background(), time.Microsecond)
+	defer cancel()
+	res, err := maxOutput(ctx, net, region, 0, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Exact {
 		t.Fatal("microsecond budget should not produce an exact answer")
 	}
-	pr, err := ProveUpperBound(net, region, 0, 0.0001, Options{TimeLimit: time.Microsecond, MaxNodes: 1})
+	ctx, cancel = context.WithTimeout(context.Background(), time.Microsecond)
+	defer cancel()
+	pr, err := proveUpperBound(ctx, net, region, 0, 0.0001, Options{MaxNodes: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,14 +338,14 @@ func TestMaxOverOutputs(t *testing.T) {
 		{W: [][]float64{{1}, {-1}}, B: []float64{0, 0}, Act: nn.ReLU},
 		{W: [][]float64{{1, 0}, {0, 1}}, B: []float64{0, 0}, Act: nn.Identity},
 	}}
-	res, err := MaxOverOutputs(net, unitRegion(1), []int{0, 1}, Options{})
+	res, err := maxOverOutputs(context.Background(), net, unitRegion(1), []int{0, 1}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(res.Value-1) > 1e-6 {
 		t.Fatalf("max over outputs = %g, want 1", res.Value)
 	}
-	if _, err := MaxOverOutputs(net, unitRegion(1), nil, Options{}); err == nil {
+	if _, err := maxOverOutputs(context.Background(), net, unitRegion(1), nil, Options{}); err == nil {
 		t.Fatal("want error for empty output list")
 	}
 }
@@ -336,7 +368,7 @@ func TestRegionContains(t *testing.T) {
 
 func TestStatsPopulated(t *testing.T) {
 	net := randomReLUNet(8, 2, []int{5}, 1)
-	res, err := MaxOutput(net, unitRegion(2), 0, Options{})
+	res, err := maxOutput(context.Background(), net, unitRegion(2), 0, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

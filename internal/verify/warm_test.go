@@ -1,6 +1,7 @@
 package verify_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -38,7 +39,12 @@ func TestTable2WarmPathConcludesNodes(t *testing.T) {
 	}
 	tr.Fit(clean, 10)
 
-	res, err := verify.MaxOverOutputs(pred.Net, vnn.LeftOccupiedRegion(), vnn.MuLatOutputs(2), verify.Options{Workers: 1})
+	opts := verify.Options{Workers: 1}
+	c, err := verify.Compile(context.Background(), pred.Net, vnn.LeftOccupiedRegion(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := c.MaxOverOutputs(context.Background(), vnn.MuLatOutputs(2), opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,9 +13,8 @@ import (
 // Property is one element of the verification algebra: a question that
 // compiles against a CompiledNetwork and is answered by Verify. Properties
 // are plain immutable values — build them anywhere, reuse them across
-// networks, batch them freely. Each of these used to be a bespoke code
-// path (verify.MaxOverOutputs, ad-hoc prove wiring, core front-gap
-// helpers, resilience loops); here they share one compiled encoding.
+// networks, batch them freely. Every property of a Verify batch runs on
+// the network's one compiled encoding.
 type Property interface {
 	// String renders the property for logs and reports.
 	String() string
@@ -219,7 +218,7 @@ func (p resilienceProp) String() string {
 }
 
 func (p resilienceProp) run(ctx context.Context, cn *CompiledNetwork, idx int) (*Result, error) {
-	rr, err := verify.ResilienceCtx(ctx, cn.Net(), p.x0, cn.Region().Box, p.out, p.threshold,
+	rr, err := verify.Resilience(ctx, cn.Net(), p.x0, cn.Region().Box, p.out, p.threshold,
 		verify.ResilienceOptions{
 			MaxIterations: p.maxIter,
 			Query:         verifyOptions(cn.opts, idx),

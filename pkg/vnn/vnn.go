@@ -73,6 +73,9 @@ type (
 	LinearConstraint = verify.LinearConstraint
 	// Stats describes the effort a query took.
 	Stats = verify.Stats
+	// CompileStats splits one compilation's effort into LP tightening
+	// and MILP encoding.
+	CompileStats = verify.CompileStats
 )
 
 // Options tune compilation and the queries run against the compiled
@@ -174,6 +177,11 @@ func (cn *CompiledNetwork) PreActivationBounds() [][]Interval { return cn.c.PreA
 
 // CompileTime reports the wall-clock cost of the one-time analysis.
 func (cn *CompiledNetwork) CompileTime() time.Duration { return cn.c.CompileTime }
+
+// CompileStats reports the effort of the compilation that built this
+// network: its tightening and encoding time and passes. An imported
+// artifact (UnmarshalCompiled) records only its own encoding.
+func (cn *CompiledNetwork) CompileStats() CompileStats { return cn.c.Stats }
 
 // WithOptions returns a view of the compiled network whose queries run
 // under opts. The expensive compiled state is shared, not copied —

@@ -86,14 +86,18 @@ func TestCompileOnceNoReencodeNoRetighten(t *testing.T) {
 	}
 }
 
-// TestCompiledMatchesOneShot cross-checks the compiled path against the
-// historical one-shot engine on the same network and region.
+// TestCompiledMatchesOneShot cross-checks the public property path against
+// a direct query of the engine on the same network and region.
 func TestCompiledMatchesOneShot(t *testing.T) {
 	pred := core.NewPredictorNet(2, 6, 2, 5)
 	region := vnn.LeftOccupiedRegion()
 	ctx := context.Background()
 
-	oneShot, err := verify.MaxOverOutputs(pred.Net, region, pred.MuLatOutputs(), verify.Options{})
+	engine, err := verify.Compile(ctx, pred.Net, region, verify.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	oneShot, err := engine.MaxOverOutputs(ctx, pred.MuLatOutputs(), verify.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,12 +6,14 @@
 package vnnserver_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math"
 	"math/rand"
 	"net/http"
+	"reflect"
 	"regexp"
 	"sort"
 	"strconv"
@@ -135,6 +137,85 @@ func TestVerifyTraceSpanTree(t *testing.T) {
 	}
 	if len(cache2.Children) != 0 {
 		t.Fatalf("cache hit grew a compile span: %+v", cache2.Children)
+	}
+}
+
+// TestCompileSpanAttrsExactUnderConcurrency pins each compile span to the
+// compile it describes: 16 concurrent requests on one Server, each
+// compiling a distinct network of one shape, leave compile spans whose
+// pass attributes equal a lone compile's (one tightening pass; one
+// encoding per hidden layer inside it plus the final one) and whose
+// tighten and encode children sum to no more than the span.
+func TestCompileSpanAttrsExactUnderConcurrency(t *testing.T) {
+	const n = 16
+	opts := vnnserver.QueryOptions{Tighten: true, Workers: 1}
+	body := func(seed int64) []byte {
+		pred := core.NewPredictorNet(2, 6, 1, seed)
+		props := []vnn.PropertySpec{{Kind: "max", Outputs: pred.MuLatOutputs()}}
+		return verifyBody(t, pred.Net, props, opts, nil)
+	}
+	compileSpan := func(url, id string) *obs.SpanJSON {
+		t.Helper()
+		tr := getTrace(t, url, id)
+		cache := tr.Root.Children[1]
+		if cache.Name != "cache" || len(cache.Children) != 1 || cache.Children[0].Name != "compile" {
+			t.Fatalf("trace %s: cache span %+v, want one compile child", id, cache)
+		}
+		return cache.Children[0]
+	}
+
+	_, lone := newTestServer(t, vnnserver.Config{})
+	var vr vnnserver.VerifyResponse
+	if status := postVerify(t, lone.URL, body(100), &vr); status != http.StatusOK {
+		t.Fatalf("lone verify: status %d", status)
+	}
+	want := compileSpan(lone.URL, vr.ID).Attrs
+	if want["tighten_passes"] != 1.0 || want["encode_passes"] != 3.0 {
+		t.Fatalf("lone compile attrs %v, want tighten_passes 1 and encode_passes 3", want)
+	}
+
+	_, ts := newTestServer(t, vnnserver.Config{MaxConcurrent: n})
+	bodies := make([][]byte, n)
+	for i := range bodies {
+		bodies[i] = body(int64(i + 1))
+	}
+	ids := make([]string, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := range bodies {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			resp, err := http.Post(ts.URL+"/v1/verify", "application/json", bytes.NewReader(bodies[i]))
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			defer resp.Body.Close()
+			var vr vnnserver.VerifyResponse
+			if err := json.NewDecoder(resp.Body).Decode(&vr); err != nil || resp.StatusCode != http.StatusOK {
+				errs[i] = fmt.Errorf("status %d, decode error %v", resp.StatusCode, err)
+				return
+			}
+			ids[i] = vr.ID
+		}(i)
+	}
+	wg.Wait()
+	for i, id := range ids {
+		if errs[i] != nil {
+			t.Fatalf("request %d: %v", i, errs[i])
+		}
+		sp := compileSpan(ts.URL, id)
+		if !reflect.DeepEqual(sp.Attrs, want) {
+			t.Fatalf("request %d: compile attrs %v, want the lone compile's %v", i, sp.Attrs, want)
+		}
+		var sum float64
+		for _, c := range sp.Children {
+			sum += c.DurationUS
+		}
+		if len(sp.Children) != 2 || sum > sp.DurationUS+1 { // 1us slack for float rounding
+			t.Fatalf("request %d: compile children %+v sum to %v us, span %v us", i, sp.Children, sum, sp.DurationUS)
+		}
 	}
 }
 

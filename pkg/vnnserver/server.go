@@ -74,7 +74,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/verify"
 	"repro/pkg/vnn"
 	"repro/pkg/vnnfleet"
 	"repro/pkg/vnnregistry"
@@ -665,28 +664,21 @@ func (s *Server) compile(ctx context.Context, parent *obs.Span, fp string, net *
 }
 
 // compileTraced runs one actual compile: it observes vnnd_compile_seconds
-// exactly once, and wraps vnn.Compile with a "compile" span under parent,
-// attributing the pass to LP tightening vs MILP encoding from
-// internal/verify's process-wide phase clocks. The deltas are read
-// around this compile only; concurrent compiles in other requests can
-// inflate them (they are attribution hints, not exact sub-timers), so
-// each child is clamped to the span's own duration.
+// exactly once, and wraps vnn.Compile with a "compile" span under parent
+// whose "tighten" and "encode" children and pass attributes are this
+// compile's own record (vnn.CompiledNetwork.CompileStats).
 func (s *Server) compileTraced(parent *obs.Span, net *vnn.Network, region *vnn.Region, opts vnn.Options) (*vnn.CompiledNetwork, error) {
 	sp := parent.Child("compile")
-	t0, e0 := verify.TightenNanos(), verify.EncodeNanos()
 	buildStart := time.Now()
 	cn, err := vnn.Compile(s.queryCtx, net, region, opts)
 	wall := time.Since(buildStart)
-	clamp := func(d time.Duration) time.Duration {
-		if d > wall {
-			return wall
-		}
-		return d
+	if err == nil {
+		st := cn.CompileStats()
+		sp.ChildTimed("tighten", st.Tighten)
+		sp.ChildTimed("encode", st.Encode)
+		sp.SetAttr("tighten_passes", st.TightenPasses)
+		sp.SetAttr("encode_passes", st.EncodePasses)
 	}
-	sp.ChildTimed("tighten", clamp(time.Duration(verify.TightenNanos()-t0)))
-	sp.ChildTimed("encode", clamp(time.Duration(verify.EncodeNanos()-e0)))
-	sp.SetAttr("tighten_passes", verify.TightenPasses())
-	sp.SetAttr("encode_passes", verify.EncodePasses())
 	sp.End()
 	s.obs.compileTime.Observe(int64(wall))
 	return cn, err
